@@ -144,8 +144,9 @@ func TestPruneEquivalenceUpdateHeavy(t *testing.T) {
 
 // TestPruneMutationCaughtByTable4 proves the seven-workload table has
 // teeth against fingerprint soundness regressions: with page hashes
-// collapsed to a constant (colliding-fingerprint) or the cached hash
+// collapsed to a constant (colliding-fingerprint), the cached line hashes
 // frozen at the state a fence already consumed (stale-fence-fingerprint),
+// or every line invalidation one line short (stale-line-fingerprint),
 // pruning conflates genuinely distinct crash states and at least one
 // workload must diverge from its unmutated run — lost report keys or a
 // changed post-run/pruned split. Must not run in parallel with other
@@ -173,6 +174,7 @@ func TestPruneMutationCaughtByTable4(t *testing.T) {
 	}{
 		{"colliding-fingerprint", shadow.SetCollidingFingerprintForTest},
 		{"stale-fence-fingerprint", shadow.SetStaleFenceFingerprintForTest},
+		{"stale-line-fingerprint", shadow.SetStaleLineFingerprintForTest},
 	} {
 		t.Run(mut.name, func(t *testing.T) {
 			mut.set(true)

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
+	"github.com/pmemgo/xfdetector/internal/pmem"
 	"github.com/pmemgo/xfdetector/internal/record"
 )
 
@@ -52,7 +55,7 @@ func TestRecordedReplayMatchesLive(t *testing.T) {
 		"manyFP": manyFPTarget,
 	}
 	for tname, mk := range targets {
-		live, err := Run(Config{PoolSize: replayTestPool}, mk(tname + "-live"))
+		live, err := Run(Config{PoolSize: replayTestPool}, mk(tname+"-live"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,6 +173,77 @@ func TestStaleCheckpointTripwire(t *testing.T) {
 	}, manyFPTarget("stale-replay"))
 	if err == nil {
 		t.Fatal("replay through a stale engine checkpoint completed; the fingerprint tripwire must fail it")
+	}
+}
+
+// twoPageTarget persists one word on page 1 and never touches that page
+// again, then keeps updating and persisting page 0: every failure point
+// after the first carries page 1 unchanged.
+func twoPageTarget(name string) Target {
+	const rounds = 8
+	return Target{
+		Name: name,
+		Pre: func(c *Ctx) error {
+			p := c.Pool()
+			p.Store64(pmem.PageSize, 7)
+			p.Persist(pmem.PageSize, 8)
+			for i := uint64(0); i < rounds; i++ {
+				p.Store64(i*64, i+1)
+				p.Persist(i*64, 8)
+			}
+			return nil
+		},
+		Post: func(c *Ctx) error {
+			p := c.Pool()
+			p.Load64(pmem.PageSize)
+			for i := uint64(0); i < rounds; i++ {
+				p.Load64(i * 64)
+			}
+			return nil
+		},
+	}
+}
+
+// TestCorruptCheckpointTripwire: an engine checkpoint with one
+// fingerprint-visible byte altered — the write epoch of a persisted byte
+// on a page nothing touches after the checkpoint, zeroed so the byte reads
+// as never written — must fail the replay at the fingerprint tripwire. The
+// fingerprint cache is not part of the checkpoint, so the restored page
+// hashes its altered data instead of vouching for it with a carried-over
+// hash.
+func TestCorruptCheckpointTripwire(t *testing.T) {
+	a := recordArtifact(t, twoPageTarget, "corrupt-rec", 2)
+	total := len(a.FPs)
+	ck := a.BestCheckpoint(total - 1)
+	if ck == nil || ck.FP == 0 {
+		t.Fatalf("need a checkpoint past failure point 0 below %d, have %+v", total-1, ck)
+	}
+	// Page 1 is the highest allocated page, so its record ends the blob.
+	// A version-2 page record is the u32 page index, then the 4096-byte
+	// state array, the writeEpoch array, and the rest (persistEpoch,
+	// writerIdx, txSafe, txAddGen, txExplicit, anyTxSafe).
+	const pageRecord = 4 + pmem.PageSize + 5*4*pmem.PageSize + pmem.PageSize + 1
+	rec := len(ck.Shadow) - pageRecord
+	if rec < 0 || binary.LittleEndian.Uint32(ck.Shadow[rec:]) != 1 {
+		t.Fatal("checkpoint blob does not end with page 1's version-2 record")
+	}
+	we := ck.Shadow[rec+4+pmem.PageSize:]
+	if binary.LittleEndian.Uint32(we) == 0 {
+		t.Fatal("page 1 byte 0 has no write epoch to corrupt")
+	}
+	binary.LittleEndian.PutUint32(we, 0)
+
+	completed := map[int]bool{}
+	for fp := 0; fp < total-1; fp++ {
+		completed[fp] = true
+	}
+	_, err := Run(Config{
+		PoolSize:               replayTestPool,
+		Replay:                 a,
+		CompletedFailurePoints: completed,
+	}, twoPageTarget("corrupt-replay"))
+	if err == nil || !strings.Contains(err.Error(), "stale or corrupt engine checkpoint") {
+		t.Fatalf("replay through a corrupted engine checkpoint = %v; the fingerprint tripwire must fail it", err)
 	}
 }
 

@@ -176,6 +176,18 @@ func (g *ClassRegistry) ReleaseOwner(owner string) {
 	}
 }
 
+// Revoke drops a clean class so that its next claimant owns it afresh.
+// The daemon calls it when the lease that resolved (or cache-seeded) the
+// class ended before the checkpoint line carrying the representative's
+// reports reached it: attributing the class would lose those reports.
+func (g *ClassRegistry) Revoke(fingerprint uint64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c := g.classes[fingerprint]; c != nil && c.state == regClean {
+		delete(g.classes, fingerprint)
+	}
+}
+
 // Reports returns the clean class's cached reports, if resolved clean.
 func (g *ClassRegistry) Reports(fingerprint uint64) ([]Report, bool) {
 	g.mu.Lock()

@@ -15,17 +15,20 @@ import (
 // fingerprints hash every non-empty shadow page to one constant, so
 // genuinely distinct crash states fall into one class and the bugs
 // reachable only from the non-representative states are silently skipped.
-// Stale fingerprints freeze a page's cached hash at the state a fence
-// already consumed, so later, dirtier crash states alias an earlier clean
-// one and are pruned without testing. Both surface as a lost report key —
-// the exact soundness property the differential suite pins. Neither mutant
-// touches shared state across goroutines, so both also run under -race.
+// Stale fingerprints freeze a page's cached line hashes at the state a
+// fence already consumed, so later, dirtier crash states alias an earlier
+// clean one and are pruned without testing. Stale line fingerprints stop
+// every line invalidation one line short, so the last line a mutation
+// touches keeps its old hash. All three surface as a lost report key —
+// the exact soundness property the differential suite pins. No mutant
+// touches shared state across goroutines, so all also run under -race.
 var pruneMutants = []struct {
 	name string
 	set  func(bool)
 }{
 	{"colliding-fingerprint", shadow.SetCollidingFingerprintForTest},
 	{"stale-fence-fingerprint", shadow.SetStaleFenceFingerprintForTest},
+	{"stale-line-fingerprint", shadow.SetStaleLineFingerprintForTest},
 }
 
 // pruneMutationKnobs bias the generator toward programs with many
@@ -36,11 +39,16 @@ var pruneMutants = []struct {
 var pruneMutationKnobs = []Knob{KnobDroppedFence, KnobMixed}
 
 // TestPruneMutationCaught proves the differential suite would notice a
-// fingerprint soundness regression: with either mutant active, pruning
+// fingerprint soundness regression: with any mutant active, pruning
 // collapses distinct crash states and some seed's pruned run loses a
 // report key (or breaks the accounting) relative to the brute-force
-// oracle. Must not run in parallel with other tests: the mutation switches
-// are package-level toggles in internal/shadow.
+// oracle. A stale-cache mutant can instead surface in the recorded
+// config: the recording pass stores its stale fingerprints, while a
+// replay restored from an engine checkpoint recomputes every line hash
+// from the page data, so the replay's fingerprint tripwire refuses the
+// artifact — that refusal counts as a catch too. Must not run in parallel
+// with other tests: the mutation switches are package-level toggles in
+// internal/shadow.
 func TestPruneMutationCaught(t *testing.T) {
 	const n = 40
 	for seed := int64(0); seed < n; seed++ {
@@ -59,7 +67,7 @@ func TestPruneMutationCaught(t *testing.T) {
 				for _, k := range pruneMutationKnobs {
 					err := CheckSeed(seed, k)
 					var m *Mismatch
-					if errors.As(err, &m) {
+					if errors.As(err, &m) || isTripwire(err) {
 						caught++
 					} else if err != nil {
 						t.Fatalf("seed %d knob %s: non-mismatch error under mutation: %v", seed, k, err)
@@ -76,15 +84,16 @@ func TestPruneMutationCaught(t *testing.T) {
 }
 
 // TestPruneMutationCaughtByCorpus requires that the checked-in corpus
-// alone catches both fingerprint mutants, so the safety net does not
+// alone catches every fingerprint mutant, so the safety net does not
 // depend on which seeds a fuzzing campaign explores.
 // corpus/prune-class-stale-fence.json is the hand-written minimized
-// reproducer for both: failure point 0 freezes one writeback-pending line
-// and its post-run is clean; failure point 1 adds a second, unpersisted
-// line whose post-failure load is a cross-failure race. Collide the page
-// hashes (or leave the cached hash frozen at the state the first fence
-// consumed) and failure point 1 aliases failure point 0's clean class —
-// the race key disappears from the pruned run's report set.
+// reproducer for all of them: failure point 0 freezes one
+// writeback-pending line and its post-run is clean; failure point 1 adds
+// a second, unpersisted line whose post-failure load is a cross-failure
+// race. Collide the page hashes, leave the cached hashes frozen at the
+// state the first fence consumed, or skip the store's single-line
+// invalidation, and failure point 1 aliases failure point 0's clean class
+// — the race key disappears from the pruned run's report set.
 func TestPruneMutationCaughtByCorpus(t *testing.T) {
 	entries, err := os.ReadDir("corpus")
 	if err != nil {

@@ -7,16 +7,21 @@ import (
 	"sync"
 )
 
-// Instruction-pointer resolution.
+// Instruction-pointer capture.
 //
 // Every traced PM operation records the source location of its caller — the
-// stand-in for the instruction pointer Pin captures in the paper. Resolving
-// a PC to file:line (runtime.CallersFrames plus string building) is far more
-// expensive than collecting the raw PCs, and a workload executes the same
-// handful of call sites millions of times, so the resolution is memoized
-// per PC. The cache is package-global: PCs are process-stable, and sharing
-// it across pools lets post-failure executions reuse what the pre-failure
-// stage resolved.
+// stand-in for the instruction pointer Pin captures in the paper. Capture
+// has two costs: walking the stack for raw PCs (runtime.Callers), and
+// resolving a PC to file:line (runtime.CallersFrames plus string
+// building). The walk dominates, so it is bounded. Every accessor reaches
+// its caller within four frames of the capture helper — Persist, the
+// deepest chain, at the fourth — so callerIP asks for four PCs first and
+// walks the remaining twelve of its 16-frame window only when all four are
+// in-package, returning exactly what one 16-PC walk would. Resolution is
+// memoized per PC: a workload executes the same handful of call sites
+// millions of times. The cache is package-global: PCs are process-stable,
+// and sharing it across pools lets post-failure executions reuse what the
+// pre-failure stage resolved.
 
 // ipCacheEntry is the memoized skip/answer decision for one PC. done means
 // the walk stops at this PC with loc as the answer; otherwise the PC's
@@ -28,13 +33,32 @@ type ipCacheEntry struct {
 
 var ipCache sync.Map // uintptr → ipCacheEntry
 
-// callerIP returns the file:line of the nearest caller outside this package.
+const (
+	// ipFirstPCs is the first walk's window: enough for every accessor
+	// chain. ipMaxPCs bounds the whole walk.
+	ipFirstPCs = 4
+	ipMaxPCs   = 16
+	// ipSkip skips runtime.Callers, callerIP and the capture helper; the
+	// remaining in-package frames (the pool accessor itself) are filtered
+	// by file.
+	ipSkip = 3
+)
+
+// callerIP returns the file:line of the nearest caller outside this package
+// within ipMaxPCs frames of the capture helper's caller.
 func callerIP() string {
-	var pcs [16]uintptr
-	// Skip runtime.Callers, callerIP and the capture helper; the remaining
-	// in-package frames (the pool accessor itself) are filtered by file.
-	n := runtime.Callers(3, pcs[:])
+	var pcs [ipMaxPCs]uintptr
+	n := runtime.Callers(ipSkip, pcs[:ipFirstPCs])
 	for _, pc := range pcs[:n] {
+		if ent := resolvePC(pc); ent.done {
+			return ent.loc
+		}
+	}
+	if n < ipFirstPCs {
+		return ""
+	}
+	n = runtime.Callers(ipSkip+ipFirstPCs, pcs[ipFirstPCs:])
+	for _, pc := range pcs[ipFirstPCs : ipFirstPCs+n] {
 		if ent := resolvePC(pc); ent.done {
 			return ent.loc
 		}

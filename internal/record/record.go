@@ -21,10 +21,16 @@
 //     bitmap) — consecutive deltas compose into the pool image at any
 //     failure point over a zeroed pool;
 //   - periodic engine checkpoints: the serialized sparse shadow
-//     (shadow.WriteState — pages, pendingLines, commit variables, and the
-//     fingerprint cache) at every Nth failure point, from which a replay
-//     jumps straight to the nearest checkpoint at or below its first owned
-//     failure point and replays only the trace delta.
+//     (shadow.WriteState — pages, pendingLines and commit variables; the
+//     fingerprint cache is recomputed on restore) at every Nth failure
+//     point, from which a replay jumps straight to the nearest checkpoint
+//     at or below its first owned failure point and replays only the
+//     trace delta.
+//
+// Version 2 fences the fingerprint scheme: fingerprints hash 64-byte line
+// hashes, so the values a version-1 artifact carries would trip the replay
+// tripwire as if its checkpoints were corrupt. A version-1 artifact is
+// refused at the header instead.
 package record
 
 import (
@@ -45,7 +51,7 @@ const (
 	// Magic is the artifact container magic ("XFDR"), distinguishing
 	// recorded campaigns from bare XFDT traces.
 	Magic   = 0x52444658
-	version = 1
+	version = 2
 
 	// DefaultCheckpointEvery is the default engine-checkpoint interval in
 	// failure points.

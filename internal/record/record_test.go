@@ -2,7 +2,9 @@ package record
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/pmemgo/xfdetector/internal/pmem"
@@ -87,6 +89,18 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	data := buildArtifact(t)
 	if _, err := Read(bytes.NewReader(data[:len(data)-7])); err == nil {
 		t.Error("Read accepted a truncated artifact")
+	}
+}
+
+// TestReadRejectsVersion1: a version-1 artifact carries fingerprints of
+// the page-granular scheme, which no replay can reproduce; it is refused
+// at the header, not at the replay's fingerprint tripwire.
+func TestReadRejectsVersion1(t *testing.T) {
+	data := buildArtifact(t)
+	binary.LittleEndian.PutUint32(data[4:8], 1)
+	_, err := Read(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), "unsupported artifact version 1") {
+		t.Fatalf("Read of a version-1 artifact = %v, want an unsupported-version error", err)
 	}
 }
 

@@ -128,6 +128,24 @@ type lease struct {
 	sh       *shardState
 	worker   string
 	deadline time.Time
+	// A shard child resolves classes straight to the daemon, but its
+	// checkpoint lines travel through the worker, so a resolve can arrive
+	// before the line that carries the representative's reports. landed
+	// holds the fingerprints of the lease's per-point lines that reached
+	// the daemon; unlanded holds the classes the lease resolved clean (or
+	// had seeded from the cache) whose line has not. endLeaseLocked
+	// revokes the unlanded ones, so a rescheduled attempt re-runs those
+	// representatives instead of attributing to reports that were lost.
+	landed   map[uint64]bool
+	unlanded map[uint64]bool
+}
+
+// noteClean records that the lease resolved (or seeded) fingerprint's
+// class clean; see lease.unlanded.
+func (l *lease) noteClean(fingerprint uint64) {
+	if !l.landed[fingerprint] {
+		l.unlanded[fingerprint] = true
+	}
 }
 
 // Server is the campaign daemon's state: campaigns in submission order, a
@@ -341,6 +359,8 @@ func (s *Server) Acquire(worker string, caps ...string) (*LeaseGrant, error) {
 				sh:       sh,
 				worker:   worker,
 				deadline: s.now().Add(s.LeaseTTL),
+				landed:   make(map[uint64]bool),
+				unlanded: make(map[uint64]bool),
 			}
 			sh.lease = l.id
 			s.leases[l.id] = l
@@ -400,12 +420,25 @@ func (s *Server) expireLocked() {
 		if now.Before(l.deadline) {
 			continue
 		}
-		delete(s.leases, id)
-		l.sh.lease = ""
-		l.c.registry.ReleaseOwner(id)
+		s.endLeaseLocked(l)
 		s.logf("lease %s (campaign %s shard %d, worker %s) missed its heartbeat deadline; rescheduling with -resume",
 			id, l.c.id, l.sh.index, l.worker)
 		s.rescheduleLocked(l.c, l.sh)
+	}
+}
+
+// endLeaseLocked drops a lease from the table and from its campaign's
+// class registry: its pending claims are released, and the classes it
+// resolved clean whose checkpoint lines never arrived are revoked.
+func (s *Server) endLeaseLocked(l *lease) {
+	delete(s.leases, l.id)
+	l.sh.lease = ""
+	l.c.registry.ReleaseOwner(l.id)
+	for fp := range l.unlanded {
+		l.c.registry.Revoke(fp)
+	}
+	if n := len(l.unlanded); n > 0 {
+		s.logf("lease %s ended before the checkpoint lines of %d clean class(es) arrived; revoked them for re-running", l.id, n)
 	}
 }
 
@@ -485,6 +518,10 @@ func (s *Server) AppendLines(id string, data []byte) error {
 		if err := l.c.merger.Add(source, line); err != nil {
 			return err
 		}
+		if line.FPrint != 0 {
+			l.landed[line.FPrint] = true
+			delete(l.unlanded, line.FPrint)
+		}
 	}
 	l.sh.lines += len(lines)
 	return nil
@@ -504,9 +541,7 @@ func (s *Server) Finish(id string, code int, released bool) error {
 	if err != nil {
 		return err
 	}
-	delete(s.leases, id)
-	l.sh.lease = ""
-	l.c.registry.ReleaseOwner(id)
+	s.endLeaseLocked(l)
 
 	switch {
 	case released:

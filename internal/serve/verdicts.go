@@ -61,6 +61,7 @@ func (s *Server) Claim(leaseID string, fingerprint uint64) (ClaimReply, error) {
 	if claim.Verdict == core.VerdictOwn && !c.noCache && s.Cache != nil {
 		if reports, ok := s.Cache.Lookup(c.identity, fingerprint); ok {
 			c.registry.SeedClean(leaseID, fingerprint, reports)
+			l.noteClean(fingerprint)
 			c.cacheHits++
 			return ClaimReply{Verdict: wireCached, Reports: reports}, nil
 		}
@@ -88,7 +89,11 @@ func (s *Server) Resolve(leaseID string, fingerprint uint64, clean bool, reports
 		return err
 	}
 	c := l.c
-	if c.registry.Resolve(leaseID, fingerprint, clean, reports) && !c.noCache && s.Cache != nil {
+	if !c.registry.Resolve(leaseID, fingerprint, clean, reports) {
+		return nil
+	}
+	l.noteClean(fingerprint)
+	if !c.noCache && s.Cache != nil {
 		if err := s.Cache.Store(c.identity, fingerprint, reports); err != nil {
 			s.logf("verdict cache store failed (degrading to misses): %v", err)
 		}

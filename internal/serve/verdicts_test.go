@@ -80,6 +80,44 @@ func TestExpiredLeaseReleasesClaims(t *testing.T) {
 	}
 }
 
+// TestEndedLeaseRevokesUnlandedVerdicts: a shard child's resolve reaches
+// the daemon directly, while its checkpoint lines travel through the
+// worker. A lease that dies after resolving a class clean but before the
+// line carrying the representative's reports arrived must leave that
+// class re-claimable: the rescheduled attempt re-runs the representative
+// instead of attributing to reports that were lost. Classes whose line
+// landed, before or after the resolve, stay clean.
+func TestEndedLeaseRevokesUnlandedVerdicts(t *testing.T) {
+	s, now := testServer(t, 10*time.Second)
+	mustSubmit(t, s, CampaignSpec{Args: []string{"-workload", "btree"}, Shards: 1})
+	grant := mustAcquire(t, s, "w1")
+	for _, fpr := range []uint64{7, 8, 9} {
+		if reply, _ := s.Claim(grant.Lease, fpr); reply.Verdict != "own" {
+			t.Fatalf("claim on %d not owned", fpr)
+		}
+	}
+	// 7's line lands before its resolve, 8's after; 9's never does.
+	if err := s.AppendLines(grant.Lease, []byte("{\"fp\":0,\"fpr\":7}\n")); err != nil {
+		t.Fatal(err)
+	}
+	for _, fpr := range []uint64{7, 8, 9} {
+		if err := s.Resolve(grant.Lease, fpr, true, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AppendLines(grant.Lease, []byte("{\"fp\":1,\"fpr\":8}\n")); err != nil {
+		t.Fatal(err)
+	}
+
+	*now = now.Add(11 * time.Second) // worker goes silent; lease expires
+	regrant := mustAcquire(t, s, "w2")
+	for fpr, want := range map[uint64]string{7: "clean", 8: "clean", 9: "own"} {
+		if reply, _ := s.Claim(regrant.Lease, fpr); reply.Verdict != want {
+			t.Errorf("claim on %d after the lease died = %q, want %s", fpr, reply.Verdict, want)
+		}
+	}
+}
+
 // TestCacheAcrossCampaigns: clean verdicts resolved in one campaign answer
 // claims in a later campaign with the same argument vector — and only the
 // same vector; a different workload or a -no-verdict-cache campaign runs

@@ -32,12 +32,13 @@ package shadow
 //     other slots never observe the write.
 //   - Fingerprints: with no commit-variable geometry over the page, every
 //     byte's symbol is the persisted-consistent bucket with the shared
-//     writer (fpSymbol), independent of the byte's address — so one cached
-//     hash is correct for every slot sharing the singleton, and equals
-//     what pageHash would compute on the uncompacted page. Geometry
-//     registered *later* would break that address independence, so
-//     registerCommitVar/registerCommitRange rehydrate any compacted slot
-//     their ranges overlap (rehydrateCold) before the geometry lands.
+//     writer (fpSymbol), independent of the byte's address — so one set
+//     of cached line and page hashes is correct for every slot sharing the
+//     singleton, and equals what pageHash would compute on the
+//     uncompacted page. Geometry registered *later* would break that
+//     address independence, so registerCommitVar/registerCommitRange
+//     rehydrate any compacted slot their ranges overlap (rehydrateCold)
+//     before the geometry lands.
 //
 // Compaction is enabled by the detection frontend for file-backed
 // campaigns (SetColdPageCompaction); the sparse/dense equivalence of
@@ -155,8 +156,8 @@ func (s *PM) geometryOverlaps(lo, hi uint64) bool {
 }
 
 // newColdPage builds the singleton for one metadata class, with its
-// address-independent fingerprint hash precomputed: every byte folds the
-// persisted-consistent symbol with the shared writer, exactly what
+// address-independent line and page hashes precomputed: every byte folds
+// the persisted-consistent symbol with the shared writer, exactly what
 // pageHash computes for an uncompacted page of this class.
 func (s *PM) newColdPage(we, pe, w uint32) *page {
 	pg := s.newPage()
@@ -164,13 +165,12 @@ func (s *PM) newColdPage(we, pe, w uint32) *page {
 	fillU32(pg.writeEpoch[:], we)
 	fillU32(pg.persistEpoch[:], pe)
 	fillU32(pg.writerIdx[:], w)
-	h := uint64(fnvOffset)
-	sym := uint64(6)<<32 | uint64(w)
-	for i := 0; i < pageBytes; i++ {
-		h = fnvMix(h, sym)
+	lh := uniformLineHash(uint64(6)<<32 | uint64(w))
+	for l := range pg.lineHash {
+		pg.lineHash[l] = lh
 	}
-	pg.fpHash = h
-	pg.fpValid = true
+	pg.lineValid = allLines
+	pg.fpHash = foldLines(&pg.lineHash)
 	return pg
 }
 

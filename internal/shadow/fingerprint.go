@@ -21,17 +21,30 @@ package shadow
 // already encodes. This is what lets long runs of uniform update loops
 // collapse into one class.
 //
-// The sparse representation caches one hash per 4 KiB shadow page
-// (page.fpHash), invalidated by the mutation paths (stores, flushes,
-// fences, TX_ADD, commit-record updates); a failure point then only
-// re-hashes the pages dirtied since the previous one. The dense ablation
-// representation recomputes chunk hashes of the same 4 KiB granularity with
-// the same symbols, so sparse and dense shadows produce byte-identical
-// fingerprints. Commit-variable geometry (which addresses are commit
-// variables or associated with one) is folded into the final fingerprint
-// directly; registrations additionally drop the cached hashes of the pages
-// their ranges overlap, since the per-byte symbols under new geometry
-// change bucket.
+// The fingerprint has a fixed three-level structure: a 64-byte line hashes
+// its 64 byte symbols, a 4 KiB page hashes its 64 line hashes, and the
+// fingerprint folds the hashes of the non-empty pages, tagged with their
+// slot index, followed by the commit-variable geometry. The sparse
+// representation caches one hash per line (page.lineHash, with one valid
+// bit per line in page.lineValid) and the page hash while every line is
+// valid. Each mutation path clears the bits of exactly the lines it
+// touches — stores, flushes, fences, TX_ADD, transaction end, and
+// commit-record updates — so a failure point re-hashes only the lines
+// dirtied since the previous one plus one 64-word fold per dirtied page,
+// and it visits only allocated page slots (PM.slots), never the whole
+// pool. The dense ablation representation recomputes the same line and
+// page structure from its flat arrays with the same symbols, so sparse and
+// dense shadows produce identical fingerprints. Commit-variable geometry
+// (which addresses are commit variables or associated with one) is folded
+// into the final fingerprint directly; registrations additionally
+// invalidate the lines their ranges overlap, since the per-byte symbols
+// under new geometry change bucket.
+//
+// The cache belongs to the thread advancing the canonical shadow. Forks
+// share its pages but neither read nor maintain the cache fields, so they
+// cannot be fingerprinted.
+
+import "math/bits"
 
 // FNV-1a 64-bit parameters.
 const (
@@ -44,17 +57,38 @@ func fnvMix(h, v uint64) uint64 {
 	return h * fnvPrime
 }
 
+// allLines is a page's lineValid mask with every line hash cached.
+const allLines = ^uint64(0)
+
 // emptyPageHash is the hash of a page whose every byte has the zero symbol
 // (writeEpoch 0). Pages hashing to it contribute nothing to a fingerprint,
 // exactly like never-allocated pages, keeping sparse and dense fingerprints
 // identical.
 var emptyPageHash = func() uint64 {
+	var lines [pageLines]uint64
+	for l := range lines {
+		lines[l] = uniformLineHash(0)
+	}
+	return foldLines(&lines)
+}()
+
+// uniformLineHash is the hash of a line whose every byte has symbol sym.
+func uniformLineHash(sym uint64) uint64 {
 	h := uint64(fnvOffset)
-	for i := 0; i < pageBytes; i++ {
-		h = fnvMix(h, 0)
+	for i := 0; i < lineBytes; i++ {
+		h = fnvMix(h, sym)
 	}
 	return h
-}()
+}
+
+// foldLines folds a page's line hashes into its page hash.
+func foldLines(lines *[pageLines]uint64) uint64 {
+	h := uint64(fnvOffset)
+	for _, lh := range lines {
+		h = fnvMix(h, lh)
+	}
+	return h
+}
 
 // collidingPageHash is the constant the colliding-fingerprint mutant
 // substitutes for every non-empty page hash (mutation.go); distinct from
@@ -86,39 +120,53 @@ func (s *PM) fpSymbol(b uint64, st PersistState, we uint32, pe uint32, txSafe bo
 	return 6<<32 | uint64(w)
 }
 
-// pageHash folds the symbols of one sparse page, caching the result on the
-// page until a mutation invalidates it.
-func (s *PM) pageHash(pi int, pg *page) uint64 {
-	if pg.fpValid {
-		return pg.fpHash
-	}
-	base := uint64(pi) << pageShift
+// lineHash folds the symbols of the line starting at address base. The
+// metadata slices hold its first n <= lineBytes bytes; the rest lie past
+// the pool and fold the zero symbol, matching a sparse page's never-written
+// tail.
+func (s *PM) lineHash(base uint64, st []PersistState, we, pe []uint32, txSafe []bool, w []uint32) uint64 {
 	h := uint64(fnvOffset)
-	for i := 0; i < pageBytes; i++ {
-		b := base + uint64(i)
-		h = fnvMix(h, s.fpSymbol(b, pg.state[i], pg.writeEpoch[i], pg.persistEpoch[i], pg.txSafe[i], pg.writerIdx[i]))
+	for i := range st {
+		h = fnvMix(h, s.fpSymbol(base+uint64(i), st[i], we[i], pe[i], txSafe[i], w[i]))
 	}
-	pg.fpHash = h
-	pg.fpValid = true
+	for i := len(st); i < lineBytes; i++ {
+		h = fnvMix(h, 0)
+	}
 	return h
 }
 
-// denseChunkHash folds the symbols of one 4 KiB chunk of the dense arrays;
-// bytes past the pool size fold the zero symbol, matching the sparse page
-// layout.
+// pageHash returns the hash of one sparse page. It re-hashes only the
+// lines whose cached hash a mutation invalidated, and re-folds the page
+// only when some line was.
+func (s *PM) pageHash(pi int, pg *page) uint64 {
+	if pg.lineValid == allLines {
+		return pg.fpHash
+	}
+	base := uint64(pi) << pageShift
+	for stale := ^pg.lineValid; stale != 0; stale &= stale - 1 {
+		l := bits.TrailingZeros64(stale)
+		lo, hi := l<<lineShift, (l+1)<<lineShift
+		pg.lineHash[l] = s.lineHash(base+uint64(lo), pg.state[lo:hi], pg.writeEpoch[lo:hi],
+			pg.persistEpoch[lo:hi], pg.txSafe[lo:hi], pg.writerIdx[lo:hi])
+	}
+	pg.lineValid = allLines
+	pg.fpHash = foldLines(&pg.lineHash)
+	return pg.fpHash
+}
+
+// denseChunkHash hashes one 4 KiB chunk of the dense arrays with the
+// sparse page's line structure.
 func (s *PM) denseChunkHash(pi int) uint64 {
 	d := s.d
-	base := uint64(pi) << pageShift
-	h := uint64(fnvOffset)
-	for i := 0; i < pageBytes; i++ {
-		b := base + uint64(i)
-		var sym uint64
-		if b < s.size {
-			sym = s.fpSymbol(b, d.state[b], d.writeEpoch[b], d.persistEpoch[b], d.txSafe[b], d.writerIdx[b])
-		}
-		h = fnvMix(h, sym)
+	var lines [pageLines]uint64
+	for l := range lines {
+		lo := uint64(pi)<<pageShift + uint64(l)<<lineShift
+		hi := min(lo+lineBytes, s.size)
+		lo = min(lo, hi) // a line wholly past the pool folds only zeros
+		lines[l] = s.lineHash(lo, d.state[lo:hi], d.writeEpoch[lo:hi], d.persistEpoch[lo:hi],
+			d.txSafe[lo:hi], d.writerIdx[lo:hi])
 	}
-	return h
+	return foldLines(&lines)
 }
 
 // CrashFingerprint returns the canonical crash-state fingerprint of the
@@ -126,42 +174,29 @@ func (s *PM) denseChunkHash(pi int) uint64 {
 // of every touched page plus the commit-variable geometry. Equal
 // fingerprints mean every byte classifies identically with an identical
 // writer attribution. Call it on the canonical shadow, at a failure point,
-// from the thread advancing the shadow.
+// from the thread advancing the shadow; a fork panics.
 func (s *PM) CrashFingerprint() uint64 {
+	if s.forked {
+		panic("shadow: CrashFingerprint on a fork")
+	}
 	h := uint64(fnvOffset)
 	if s.dense {
 		for pi := 0; pi < numPages(s.size); pi++ {
-			ph := s.denseChunkHash(pi)
-			if ph == emptyPageHash {
-				continue
-			}
-			if collidingFingerprintForTest {
-				ph = collidingPageHash
-			}
-			h = fnvMix(h, uint64(pi)+1)
-			h = fnvMix(h, ph)
+			h = foldPage(h, pi, s.denseChunkHash(pi))
 		}
 	} else {
-		for pi, pg := range s.pages {
-			if pg == nil {
-				continue
+		for wi, word := range s.slots {
+			for ; word != 0; word &= word - 1 {
+				pi := wi<<6 | bits.TrailingZeros64(word)
+				h = foldPage(h, pi, s.pageHash(pi, s.pages[pi]))
 			}
-			ph := s.pageHash(pi, pg)
-			if ph == emptyPageHash {
-				continue
-			}
-			if collidingFingerprintForTest {
-				ph = collidingPageHash
-			}
-			h = fnvMix(h, uint64(pi)+1)
-			h = fnvMix(h, ph)
 		}
 	}
 	// Commit-variable geometry: registering a variable or an associated
 	// range changes how bytes classify without touching any page, so the
 	// geometry is part of the fingerprint. (The commit-write *records* enter
 	// through the Eq. 3 outcomes in the page symbols; their mutations
-	// invalidate the affected pages — see noteCommitWrites.)
+	// invalidate the affected lines — see noteCommitWrites.)
 	h = fnvMix(h, uint64(len(s.commitVars)))
 	for _, cv := range s.commitVars {
 		h = fnvMix(h, cv.addr)
@@ -176,30 +211,49 @@ func (s *PM) CrashFingerprint() uint64 {
 	return h
 }
 
-// invalidateFP drops a page's cached fingerprint hash. The stale-fingerprint
-// mutant (mutation.go) freezes stuck pages to prove the differential suite
-// catches a missing invalidation.
-func (pg *page) invalidateFP() {
+// foldPage folds the hash of page slot pi into fingerprint h. An empty
+// page folds nothing, exactly like a never-allocated one.
+func foldPage(h uint64, pi int, ph uint64) uint64 {
+	if ph == emptyPageHash {
+		return h
+	}
+	if collidingFingerprintForTest {
+		ph = collidingPageHash
+	}
+	h = fnvMix(h, uint64(pi)+1)
+	return fnvMix(h, ph)
+}
+
+// invalidateLines drops the cached hashes of the lines overlapping the
+// non-empty intra-page range [lo, hi), and with them the page hash. The
+// seeded stale-fingerprint mutants (mutation.go) prove the differential
+// suite catches a missing invalidation: a stuck page ignores it, and the
+// stale-line mutant stops one line short of the range's end.
+func (pg *page) invalidateLines(lo, hi int) {
 	if pg.fpStuck {
 		return
 	}
-	pg.fpValid = false
+	first, end := lo>>lineShift, (hi+lineBytes-1)>>lineShift
+	if staleLineFingerprintForTest {
+		end--
+	}
+	pg.lineValid &^= (uint64(1)<<end - 1) &^ (uint64(1)<<first - 1)
 }
 
-// invalidateRangeFP invalidates the cached page hashes overlapping
-// [addr, addr+size): used when a commit variable's write record changes,
-// which flips Eq. 3 outcomes of its associated bytes without any page
-// mutation. Pages never allocated need no invalidation (nothing cached),
-// and the dense representation caches nothing.
+// invalidateRangeFP invalidates the cached line hashes overlapping
+// [addr, addr+size): used when commit-variable geometry or a commit write
+// record changes, which flips the symbols of bytes in the range without
+// any page mutation. Pages never allocated need no invalidation (nothing
+// cached); the dense representation and forks cache nothing.
 func (s *PM) invalidateRangeFP(addr, size uint64) {
-	if s.dense {
+	if s.dense || s.forked {
 		return
 	}
 	addr, end := s.clip(addr, size)
 	for b := addr; b < end; {
-		pi, _, _, next := pageSpan(b, end)
+		pi, lo, hi, next := pageSpan(b, end)
 		if pg := s.pages[pi]; pg != nil {
-			pg.invalidateFP()
+			pg.invalidateLines(lo, hi)
 		}
 		b = next
 	}

@@ -225,42 +225,75 @@ func TestLostRangeBatchMutantFlipsMixedLine(t *testing.T) {
 
 // randomEntries generates a deterministic pseudo-random pre-failure
 // workload over a small pool: stores, NT stores, flushes, fences,
-// transactions, allocations, and commit-variable registrations.
+// transactions (TX_ADD, transactional allocation, commit and abort),
+// atomic allocations, commit-variable registrations and commit writes.
+// Two thirds of the addresses fall near a few hot lines — page-straddling
+// ones and the pool's tail — so lines are re-dirtied again and again and
+// a stale fingerprint line hash surfaces within a few steps.
 func randomEntries(rng *rand.Rand, n int, poolSize uint64) []trace.Entry {
+	hot := []uint64{0, 60, 200, pageBytes - 40, pageBytes + 64, 2*pageBytes + 100, poolSize - 70}
+	addr := func() uint64 {
+		if rng.Intn(3) == 0 {
+			return uint64(rng.Intn(int(poolSize)))
+		}
+		return hot[rng.Intn(len(hot))] + uint64(rng.Intn(16))
+	}
+	size := func() uint64 {
+		if rng.Intn(4) == 0 {
+			return uint64(1 + rng.Intn(300))
+		}
+		return uint64(1 + rng.Intn(16))
+	}
+	var vars []uint64
 	var out []trace.Entry
 	txDepth := 0
-	for i := 0; i < n; i++ {
-		addr := uint64(rng.Intn(int(poolSize)))
-		size := uint64(1 + rng.Intn(128))
+	for len(out) < n {
 		ip := fmt.Sprintf("rnd.go:%d", rng.Intn(12))
-		switch rng.Intn(12) {
+		switch rng.Intn(15) {
 		case 0, 1, 2:
-			out = append(out, trace.Entry{Kind: trace.Write, Addr: addr, Size: size, IP: ip})
+			out = append(out, trace.Entry{Kind: trace.Write, Addr: addr(), Size: size(), IP: ip})
 		case 3:
-			out = append(out, trace.Entry{Kind: trace.NTStore, Addr: addr, Size: size, IP: ip})
-		case 4, 5:
-			out = append(out, trace.Entry{Kind: trace.CLWB, Addr: addr, Size: size, IP: ip})
+			out = append(out, trace.Entry{Kind: trace.NTStore, Addr: addr(), Size: size(), IP: ip})
+		case 4:
+			out = append(out, trace.Entry{Kind: trace.CLWB, Addr: addr(), Size: size(), IP: ip})
+		case 5:
+			out = append(out, trace.Entry{Kind: trace.CLFlush, Addr: addr(), Size: size(), IP: ip})
 		case 6, 7:
 			out = append(out, trace.Entry{Kind: trace.SFence})
 		case 8:
 			out = append(out, trace.Entry{Kind: trace.TxBegin})
 			txDepth++
 		case 9:
-			if txDepth > 0 {
-				out = append(out, trace.Entry{Kind: trace.TxAdd, Addr: addr, Size: size, IP: ip})
+			kind := trace.TxAdd
+			if rng.Intn(3) == 0 {
+				kind = trace.TxAlloc
 			}
+			out = append(out, trace.Entry{Kind: kind, Addr: addr(), Size: size(), IP: ip})
 		case 10:
 			if txDepth > 0 {
-				out = append(out, trace.Entry{Kind: trace.TxCommit})
+				kind := trace.TxCommit
+				if rng.Intn(3) == 0 {
+					kind = trace.TxAbort
+				}
+				out = append(out, trace.Entry{Kind: kind})
 				txDepth--
 			}
 		case 11:
-			if rng.Intn(4) == 0 {
+			v := addr() &^ 7
+			vars = append(vars, v)
+			out = append(out, trace.Entry{Kind: trace.RegCommitVar, Addr: v, Size: 8})
+		case 12:
+			if len(vars) > 0 {
 				out = append(out, trace.Entry{Kind: trace.RegCommitRange,
-					Addr: addr &^ 7, Size: 8, Addr2: uint64(rng.Intn(int(poolSize))), Size2: size})
-			} else {
-				out = append(out, trace.Entry{Kind: trace.AtomicAlloc, Addr: addr, Size: size, IP: ip})
+					Addr: vars[rng.Intn(len(vars))], Size: 8, Addr2: addr(), Size2: size()})
 			}
+		case 13:
+			if len(vars) > 0 {
+				out = append(out, trace.Entry{Kind: trace.CommitVarWrite,
+					Addr: vars[rng.Intn(len(vars))], Size: 8, IP: ip})
+			}
+		case 14:
+			out = append(out, trace.Entry{Kind: trace.AtomicAlloc, Addr: addr(), Size: size(), IP: ip})
 		}
 	}
 	for ; txDepth > 0; txDepth-- {

@@ -65,9 +65,9 @@ func SetCollidingFingerprintForTest(on bool) { collidingFingerprintForTest = on 
 
 // staleFenceFingerprintForTest breaks the fingerprint cache's invalidation
 // contract: a fence processing a pending line no longer drops the line's
-// page hash — and the page ignores every later invalidation too — so the
-// cached hash is frozen at a previous failure point's state while the true
-// state moves on. Later, genuinely distinct crash states then alias the
+// cached hash — and its page ignores every later invalidation too — so the
+// cached hashes are frozen at a previous failure point's state while the
+// true state moves on. Later, genuinely distinct crash states then alias the
 // frozen one and are pruned without testing. A one-shot staleness would be
 // provably harmless (a later, cleaner state aliasing an earlier dirtier
 // one only over-reports), which is why the mutant is sticky.
@@ -76,3 +76,16 @@ var staleFenceFingerprintForTest bool
 // SetStaleFenceFingerprintForTest toggles the deliberate fence-invalidation
 // omission. Callers must not toggle it while a detection run is in flight.
 func SetStaleFenceFingerprintForTest(on bool) { staleFenceFingerprintForTest = on }
+
+// staleLineFingerprintForTest breaks the line-granular fingerprint cache:
+// every invalidation stops one line short, so the last line of each range
+// a mutation touches keeps its stale hash (and a single-line range
+// invalidates nothing). A crash state that differs from an earlier one
+// only in such a line then aliases it and is pruned without testing — the
+// off-by-one the line cache's [lo, hi) bookkeeping must exclude.
+var staleLineFingerprintForTest bool
+
+// SetStaleLineFingerprintForTest toggles the deliberate line-invalidation
+// off-by-one. Callers must not toggle it while a detection run is in
+// flight.
+func SetStaleLineFingerprintForTest(on bool) { staleLineFingerprintForTest = on }

@@ -10,6 +10,11 @@ package shadow
 // which the accessors and the post-failure checker exploit to skip whole
 // pages.
 //
+// Each page also caches crash-state fingerprint hashes for its 64 cache
+// lines (fingerprint.go); mutations invalidate exactly the lines they
+// touch, and an allocation bitmap (PM.slots) lets a fingerprint visit only
+// allocated slots.
+//
 // Pages are reference-counted so that parallel detection can capture
 // copy-on-write forks of the canonical shadow (Fork): a fork shares every
 // page with its parent, and whichever side writes first privatizes the page
@@ -17,7 +22,9 @@ package shadow
 // canonical shadow and each fork is written only by the worker that owns
 // it, so the only cross-thread traffic on a shared page is the refcount,
 // which is manipulated atomically; the page arrays themselves are immutable
-// while shared.
+// while shared. The fingerprint cache is the one part of a shared page
+// that changes: it belongs to the canonical thread, which alone reads and
+// writes it, and forks never touch it.
 
 import (
 	"sync/atomic"
@@ -29,6 +36,12 @@ const (
 	pageShift = 12
 	pageBytes = 1 << pageShift
 	pageMask  = pageBytes - 1
+
+	// lineShift/lineBytes are the 64-byte cache-line granularity of the
+	// fingerprint cache; pageLines lines make up one page.
+	lineShift = 6
+	lineBytes = 1 << lineShift
+	pageLines = pageBytes / lineBytes
 )
 
 // page holds the per-byte shadow metadata of one 4 KiB slab of the pool.
@@ -54,16 +67,19 @@ type page struct {
 	// the per-byte txSafe scan. Set by applyTxAdd and never cleared.
 	anyTxSafe bool
 
-	// fpHash caches the page's crash-state fingerprint hash
-	// (fingerprint.go) while fpValid is set; every mutation path drops the
-	// cache. Only the thread advancing the canonical shadow reads or
-	// writes these fields on shared pages — workers touch them only on
-	// pages they privatized — and a COW clone starts with an empty cache.
-	// fpStuck exists solely for the stale-fingerprint mutant
-	// (mutation.go): a stuck page ignores invalidation.
-	fpHash  uint64
-	fpValid bool
-	fpStuck bool
+	// lineHash caches the crash-state hash of each 64-byte line
+	// (fingerprint.go) while its bit in lineValid is set; every mutation
+	// path clears the bits of the lines it touches. fpHash, the fold of
+	// the 64 line hashes, is cached exactly while every bit is set. Only
+	// the thread advancing the canonical shadow reads or writes these
+	// fields: forks neither consult nor maintain them, and a fork's COW
+	// clone starts with an empty cache. fpStuck exists solely for the
+	// stale-fingerprint mutant (mutation.go): a stuck page ignores
+	// invalidation.
+	lineHash  [pageLines]uint64
+	lineValid uint64
+	fpHash    uint64
+	fpStuck   bool
 }
 
 // pageFootprint is the accounted size of one shadow page.
@@ -135,7 +151,7 @@ func (s *PM) writablePage(pi int) *page {
 	pg := s.pages[pi]
 	if pg == nil {
 		pg = s.newPage()
-		s.pages[pi] = pg
+		s.setPage(pi, pg)
 		return pg
 	}
 	if atomic.LoadInt32(&pg.refs) > 1 && !staleForkPageForTest {
@@ -150,16 +166,30 @@ func (s *PM) writablePage(pi int) *page {
 		np.postWritten = pg.postWritten
 		np.checked = pg.checked
 		np.anyTxSafe = pg.anyTxSafe
-		// The fingerprint cache (fpHash/fpValid) is deliberately not
-		// copied: the clone is about to be mutated, and leaving the cache
-		// empty keeps these fields single-writer on shared pages. The
-		// mutant stickiness does carry over.
+		if !s.forked {
+			// The canonical shadow owns the fingerprint cache of its
+			// shared pages, so its clone keeps every line hash; the caller
+			// then invalidates only the lines it mutates. A fork's clone
+			// starts empty: forks never read the cache fields, which the
+			// canonical thread may be writing concurrently.
+			np.lineHash = pg.lineHash
+			np.lineValid = pg.lineValid
+			np.fpHash = pg.fpHash
+		}
+		// The mutant stickiness carries over.
 		np.fpStuck = pg.fpStuck
 		s.pages[pi] = np
 		s.dropPageRef(pg)
 		return np
 	}
 	return pg
+}
+
+// setPage installs pg in the never-allocated slot pi and records the slot
+// in the allocation bitmap CrashFingerprint walks.
+func (s *PM) setPage(pi int, pg *page) {
+	s.pages[pi] = pg
+	s.slots[pi>>6] |= 1 << (pi & 63)
 }
 
 // pageSpan splits [b, end) at b's page boundary: it returns the page
@@ -193,6 +223,7 @@ func (s *PM) Fork() *PM {
 	f := &PM{
 		size:    s.size,
 		dense:   s.dense,
+		forked:  true,
 		clock:   s.clock,
 		txDepth: s.txDepth,
 		txGen:   s.txGen,

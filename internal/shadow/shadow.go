@@ -105,11 +105,18 @@ type PerfBug struct {
 type PM struct {
 	size  uint64
 	dense bool
+	// forked marks a copy-on-write fork (Fork): it shares pages whose
+	// fingerprint caches belong to the canonical shadow, so it neither
+	// reads nor maintains them.
+	forked bool
 
 	// pages is the sparse (default) representation: lazily allocated
 	// 4 KiB shadow pages, nil where the pool was never touched (all bytes
-	// Unmodified, writeEpoch 0). See page.go.
+	// Unmodified, writeEpoch 0). See page.go. slots is the bitmap of the
+	// non-nil entries, in ascending slot order (setPage); a fork leaves it
+	// nil, since it never allocates a page or computes a fingerprint.
 	pages []*page
+	slots []uint64
 	// d is the dense ablation representation (NewDensePM). See dense.go.
 	d *denseState
 
@@ -161,6 +168,7 @@ func NewPM(size uint64) *PM {
 	return &PM{
 		size:         size,
 		pages:        make([]*page, numPages(size)),
+		slots:        make([]uint64, (numPages(size)+63)/64),
 		writerIDs:    make(map[string]uint32),
 		pendingLines: make(map[uint64]bool),
 		clock:        1,
@@ -334,7 +342,7 @@ func (s *PM) sparseStore(addr, end uint64, w uint32, inTx bool, st PersistState)
 	for b := addr; b < end; {
 		pi, lo, hi, next := pageSpan(b, end)
 		pg := s.writablePage(pi)
-		pg.invalidateFP()
+		pg.invalidateLines(lo, hi)
 		fillState(pg.state[lo:hi], st)
 		fillU32(pg.writeEpoch[lo:hi], s.clock)
 		fillU32(pg.writerIdx[lo:hi], w)
@@ -465,7 +473,7 @@ func (s *PM) sparseFlush(start, limit uint64, useful *bool) {
 		}
 		*useful = true
 		pg = s.writablePage(pi)
-		pg.invalidateFP()
+		pg.invalidateLines(lo, hi)
 		if unsoundFlushForTest {
 			// Deliberately wrong (see mutation.go): jump straight to
 			// Persisted without waiting for the fence.
@@ -515,13 +523,13 @@ func (s *PM) applyFence() {
 			pg := s.writablePage(pi)
 			if staleFenceFingerprintForTest {
 				// Deliberately wrong (see mutation.go): the fence's fill
-				// "forgets" to drop this page's fingerprint cache, and the
+				// "forgets" to drop this line's fingerprint cache, and the
 				// page ignores all invalidation from here on.
 				pg.fpStuck = true
 			}
-			pg.invalidateFP()
 			lo := int(line & pageMask)
 			hi := lo + int(lineEnd-line)
+			pg.invalidateLines(lo, hi)
 			if full || lostRangeBatchForTest {
 				// Fast path: the whole line is WritebackPending, so the
 				// transition is one range fill per array. The mutation
@@ -566,7 +574,7 @@ func (s *PM) applyTxAdd(addr, size uint64, ip string, explicit bool) {
 		for b := addr; b < end; {
 			pi, lo, hi, next := pageSpan(b, end)
 			pg := s.writablePage(pi)
-			pg.invalidateFP()
+			pg.invalidateLines(lo, hi)
 			pg.anyTxSafe = true
 			for i := lo; i < hi; i++ {
 				if pg.txExplicit[i] != s.txGen {
@@ -600,7 +608,7 @@ func (s *PM) endTxProtection() {
 			for b := r.addr; b < r.addr+r.size; {
 				pi, lo, hi, next := pageSpan(b, r.addr+r.size)
 				pg := s.writablePage(pi)
-				pg.invalidateFP()
+				pg.invalidateLines(lo, hi)
 				fillBool(pg.txSafe[lo:hi], false)
 				b = next
 				// anyTxSafe stays set: the hint is conservative.

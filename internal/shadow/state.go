@@ -6,10 +6,17 @@ package shadow
 // shadow at failure-point boundaries so a shard can fast-forward to its
 // first owned failure point instead of replaying the whole pre-failure
 // trace. WriteState captures everything the pre-failure state machine
-// carries forward — the sparse pages (including the PR 6 fingerprint
-// cache), the pending-line fence fast-path map, the interned writer table,
-// the transaction state, and the commit-variable records — and ReadState
-// reconstructs an equivalent canonical shadow.
+// carries forward — the sparse pages, the pending-line fence fast-path
+// map, the interned writer table, the transaction state, and the
+// commit-variable records — and ReadState reconstructs an equivalent
+// canonical shadow.
+//
+// The fingerprint cache is derived state and is not serialized: a restored
+// page starts with every line hash invalid, so its first fingerprint is
+// computed from the restored metadata. That is what gives the replay-side
+// fingerprint tripwire its teeth — a checkpoint whose page data was
+// altered cannot reproduce the recorded fingerprint through a carried-over
+// hash.
 //
 // Post-failure scratch (postWritten/checked/postGen) is deliberately not
 // serialized: it is zero on the recording run, whose post stage never
@@ -32,7 +39,7 @@ import (
 
 const (
 	stateMagic   = 0x53444658 // "XFDS"
-	stateVersion = 1
+	stateVersion = 2
 )
 
 // ErrDenseState marks an attempt to serialize the dense ablation shadow,
@@ -179,12 +186,6 @@ func (s *PM) WriteState(w io.Writer) error {
 		sw.u32s(pg.txAddGen[:])
 		sw.u32s(pg.txExplicit[:])
 		if pg.anyTxSafe {
-			sw.u8(1)
-		} else {
-			sw.u8(0)
-		}
-		sw.u64(pg.fpHash)
-		if pg.fpValid {
 			sw.u8(1)
 		} else {
 			sw.u8(0)
@@ -374,9 +375,10 @@ func ReadState(r io.Reader) (*PM, error) {
 		sr.u32s(pg.txAddGen[:])
 		sr.u32s(pg.txExplicit[:])
 		pg.anyTxSafe = sr.u8() != 0
-		pg.fpHash = sr.u64()
-		pg.fpValid = sr.u8() != 0
-		s.pages[pi] = pg
+		if s.pages[pi] != nil {
+			return nil, fmt.Errorf("shadow: page index %d serialized twice", pi)
+		}
+		s.setPage(int(pi), pg)
 	}
 	if sr.err != nil {
 		return nil, fmt.Errorf("shadow: reading state: %w", sr.err)

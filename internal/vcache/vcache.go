@@ -18,6 +18,11 @@
 // workload flags; the -serve daemon hashes the campaign argv; the fuzzer
 // hashes the program JSON). Over-approximating identity is safe — it only
 // costs cache misses.
+//
+// Entries carry no fingerprint-scheme version: when the fingerprint
+// scheme changes, entries written under the old one simply miss. A
+// cross-scheme match would be a 64-bit hash collision, the same risk the
+// cache already accepts between distinct crash states of one scheme.
 package vcache
 
 import (
