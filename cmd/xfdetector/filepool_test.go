@@ -17,7 +17,7 @@ import (
 // CLI tests for file-backed pools: flag validation, pool-file collision,
 // kill -9 + -resume over the surviving image, the XFDETECTOR_DISK_FAULT
 // injection hook, and the -spawn fleet laying out per-shard pool files
-// under -workdir.
+// under its campaign directory in -workdir.
 
 // msyncLine extracts the "pool file: ..." accounting line from a run's
 // output: ranges, pages written, pages already persisted (compare-skipped).
@@ -40,8 +40,8 @@ func TestFilePoolFlagValidation(t *testing.T) {
 	for _, args := range []string{
 		"-workdir d",                          // workdir without -spawn
 		"-workdir d -workload btree",          // ditto, with a workload
-		"-spawn 2 -checkpoint c -pool-file p", // per-shard pools need a layout
-		"-spawn 2 -checkpoint c -workdir /dev/null/x -pool-file p -workload btree", // uncreatable workdir
+		"-spawn 2 -checkpoint c -pool-file p", // the daemon lays out the pools and checkpoints
+		"-spawn 2 -workdir /dev/null/x -pool-file p -workload btree", // uncreatable workdir
 	} {
 		if code, out := runCLI(t, args); code != 2 {
 			t.Errorf("%q exited %d, want 2:\n%s", args, code, out)
@@ -205,8 +205,8 @@ func TestDiskFaultEnvQuarantine(t *testing.T) {
 
 // TestSpawnFileBackedWorkdir: -spawn with -pool-file lays out per-shard
 // pool files and checkpoints under -workdir, survives a SIGKILLed shard
-// whose respawned incarnation reopens its own pool file with -resume, and
-// merges to the single-process key set.
+// whose rescheduled incarnation reopens its own pool file with -resume,
+// and merges to the single-process key set.
 func TestSpawnFileBackedWorkdir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs full detection campaigns")
@@ -219,20 +219,19 @@ func TestSpawnFileBackedWorkdir(t *testing.T) {
 	}
 
 	workdir := filepath.Join(dir, "fleet")
-	ckpt := filepath.Join(dir, "spawn.ckpt") // base only; workdir owns the layout
 	keys := filepath.Join(dir, "spawn-keys.txt")
-	mcode, mout := runCLIEnv(t, []string{spawnTestKillEnv + "=1"},
-		fmt.Sprintf("%s -spawn 3 -checkpoint %s -workdir %s -pool-file pool -keys-out %s",
-			campaign, ckpt, workdir, keys))
+	mcode, mout := runCLIEnv(t, spawnCrash,
+		fmt.Sprintf("%s -spawn 3 %s -workdir %s -pool-file pool -keys-out %s",
+			campaign, spawnFleet, workdir, keys))
 	if mcode != 1 {
-		t.Fatalf("orchestrator exited %d, want 1:\n%s", mcode, mout)
+		t.Fatalf("fleet exited %d, want 1:\n%s", mcode, mout)
 	}
-	if !strings.Contains(mout, "re-spawning with -resume") {
-		t.Fatalf("orchestrator never re-spawned the killed shard:\n%s", mout)
+	if !strings.Contains(mout, "rescheduling with -resume") {
+		t.Fatalf("fleet never rescheduled the killed shard:\n%s", mout)
 	}
 	for i := 0; i < 3; i++ {
 		for _, name := range []string{fmt.Sprintf("shard%d.pool", i), fmt.Sprintf("shard%d.ckpt", i)} {
-			if _, err := os.Stat(filepath.Join(workdir, name)); err != nil {
+			if _, err := os.Stat(filepath.Join(workdir, "c1", name)); err != nil {
 				t.Errorf("fleet file %s missing under -workdir: %v", name, err)
 			}
 		}

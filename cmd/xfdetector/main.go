@@ -10,9 +10,10 @@
 // Long campaigns can checkpoint completed failure points with -checkpoint
 // and, after a crash or ^C, continue with -resume; see README.md
 // ("Resilience & resume"). Campaigns shard across processes with
-// -shards/-shard-index (manual), -spawn N (supervised fleet on this
-// machine), and -merge (union shard checkpoints into one report); see
-// README.md ("Sharded campaigns").
+// -shards/-shard-index (manual) and -merge (union shard checkpoints into
+// one report), -spawn N (a campaign daemon and N workers in this process),
+// or -serve/-worker/-submit (the same fleet across machines); see
+// README.md ("Sharded campaigns", "Distributed campaigns").
 package main
 
 import (
@@ -23,6 +24,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -51,12 +54,13 @@ var shortNames = map[string]string{
 
 func main() {
 	args := os.Args[1:]
-	// A shard spawned by -spawn receives its authoritative argument vector
-	// through the environment (see shardArgsEnv); argv carries the same
-	// flags for visibility in ps/pkill only.
-	if encoded := os.Getenv(shardArgsEnv); encoded != "" {
+	// A shard or record child started by a worker or daemon receives its
+	// authoritative argument vector through the environment (see
+	// serve.ShardArgsEnv); argv carries the same flags for visibility in
+	// ps/pkill only.
+	if encoded := os.Getenv(serve.ShardArgsEnv); encoded != "" {
 		if err := json.Unmarshal([]byte(encoded), &args); err != nil {
-			fmt.Fprintf(os.Stderr, "xfdetector: bad %s: %v\n", shardArgsEnv, err)
+			fmt.Fprintf(os.Stderr, "xfdetector: bad %s: %v\n", serve.ShardArgsEnv, err)
 			os.Exit(2)
 		}
 	}
@@ -70,44 +74,44 @@ func main() {
 func realMain(args []string) int {
 	fs := flag.NewFlagSet("xfdetector", flag.ContinueOnError)
 	var (
-		workload    = fs.String("workload", "btree", "btree | ctree | rbtree | hashmap-tx | hashmap-atomic | redis | memcached")
-		initSize    = fs.Int("init", 5, "insertions while initializing the PM image (INITSIZE)")
-		testSize    = fs.Int("test", 5, "insertions in the pre-failure stage (TESTSIZE)")
-		updates     = fs.Int("updates", 1, "value updates in the pre-failure stage")
-		removes     = fs.Int("removes", 1, "removals in the pre-failure stage")
-		patch       = fs.String("patch", "", "synthetic bug to inject (see -list); empty = correct program")
-		list        = fs.Bool("list", false, "list available patches and exit")
-		mode        = fs.String("mode", "detect", "detect | trace | original (the Fig. 12b configurations)")
-		maxFP       = fs.Int("max-failure-points", 0, "cap on injected failure points (0 = unlimited)")
-		poolMB      = fs.Int("pool-mb", 4, "PM pool size in MiB")
-		workers     = fs.Int("workers", 1, "post-failure worker goroutines (>1 enables parallel detection)")
-		postTimeout = fs.Duration("post-timeout", 0, "wall-clock deadline per post-failure run (0 = none)")
-		fullCopy    = fs.Bool("full-copy-snapshots", false, "copy the full PM image at every failure point instead of incremental dirty-page snapshots (ablation)")
-		denseShadow = fs.Bool("dense-shadow", false, "use flat per-byte shadow arrays sized to the pool instead of the sparse paged shadow PM (ablation)")
-		noPrune     = fs.Bool("no-prune", false, "run every failure point instead of testing one representative per crash-state class (ablation; the report-key set is identical either way)")
-		vcachePath  = fs.String("verdict-cache", "", "consult and extend this fsynced on-disk crash-state verdict cache, keyed by (program/config identity, fingerprint): failure points whose class a previous campaign of the identical program resolved cleanly skip their post-runs (CacheHits). With -spawn each shard gets its own cache file; with -serve the daemon holds one under -workdir")
+		workload     = fs.String("workload", "btree", "btree | ctree | rbtree | hashmap-tx | hashmap-atomic | redis | memcached")
+		initSize     = fs.Int("init", 5, "insertions while initializing the PM image (INITSIZE)")
+		testSize     = fs.Int("test", 5, "insertions in the pre-failure stage (TESTSIZE)")
+		updates      = fs.Int("updates", 1, "value updates in the pre-failure stage")
+		removes      = fs.Int("removes", 1, "removals in the pre-failure stage")
+		patch        = fs.String("patch", "", "synthetic bug to inject (see -list); empty = correct program")
+		list         = fs.Bool("list", false, "list available patches and exit")
+		mode         = fs.String("mode", "detect", "detect | trace | original (the Fig. 12b configurations)")
+		maxFP        = fs.Int("max-failure-points", 0, "cap on injected failure points (0 = unlimited)")
+		poolMB       = fs.Int("pool-mb", 4, "PM pool size in MiB")
+		workers      = fs.Int("workers", 1, "post-failure worker goroutines (>1 enables parallel detection)")
+		postTimeout  = fs.Duration("post-timeout", 0, "wall-clock deadline per post-failure run (0 = none)")
+		fullCopy     = fs.Bool("full-copy-snapshots", false, "copy the full PM image at every failure point instead of incremental dirty-page snapshots (ablation)")
+		denseShadow  = fs.Bool("dense-shadow", false, "use flat per-byte shadow arrays sized to the pool instead of the sparse paged shadow PM (ablation)")
+		noPrune      = fs.Bool("no-prune", false, "run every failure point instead of testing one representative per crash-state class (ablation; the report-key set is identical either way)")
+		vcachePath   = fs.String("verdict-cache", "", "consult and extend this fsynced on-disk crash-state verdict cache, keyed by (program/config identity, fingerprint): failure points whose class a previous campaign of the identical program resolved cleanly skip their post-runs (CacheHits). With -spawn it is the in-process daemon's cache, one file for every shard, keyed by the campaign's argument vector; -serve holds its own under -workdir")
 		noCrossShard = fs.Bool("no-cross-shard-prune", false, "ablation: daemon-scheduled shards run every class representative themselves instead of claiming classes against the campaign's cross-shard registry (the report-key set is identical either way)")
 		noVCache     = fs.Bool("no-verdict-cache", false, "ablation: ignore the on-disk verdict cache (local -verdict-cache and the -serve daemon's cache alike)")
-		updRounds   = fs.Int("update-rounds", 1, "repeat the -updates pass this many times with identical values (the pruning ablation's repetitive-loop shape)")
-		ckptPath    = fs.String("checkpoint", "", "append completed failure points to this JSONL file")
-		resume      = fs.Bool("resume", false, "skip failure points already recorded in -checkpoint (and reopen the -pool-file, skipping the writeback of already-persisted pages)")
-		poolFile    = fs.String("pool-file", "", "back the PM pool with this mmap'd file, persisted with range-batched msync at every ordering point and failure-point snapshot; a fresh campaign refuses an existing file (-resume reopens it). With -spawn the value marks the request and each shard gets <workdir>/shard<i>.pool")
-		workdir     = fs.String("workdir", "", "campaign directory for -spawn: per-shard checkpoints (shard<i>.ckpt) and pool files (shard<i>.pool) are created under it")
-		keysOut     = fs.String("keys-out", "", "write the sorted deduplicated report keys to this file")
-		recordPath  = fs.String("record", "", "record the deterministic pre-failure pass once into this artifact (trace + engine checkpoints + pool deltas) and exit without post-failure runs; shards, -resume, and -serve workers replay it with -from-record instead of re-executing the program")
-		fromRecord  = fs.String("from-record", "", "replay the pre-failure stage from this recorded artifact instead of executing the program, fast-forwarding through the nearest engine checkpoint below the first owned failure point; the artifact's program identity must match this campaign's flags")
-		noFF        = fs.Bool("no-fast-forward", false, "ablation: -spawn (and daemon-scheduled campaigns) skip the record-once pass, every shard re-executes the pre-failure stage live (the report-key set is identical either way)")
-		shards      = fs.Int("shards", 0, "total shards of a partitioned campaign (this process runs failure points fp%%shards == shard-index)")
-		shardIndex  = fs.Int("shard-index", -1, "this process's shard in [0, shards)")
-		spawn       = fs.Int("spawn", 0, "fork this many shard subprocesses, supervise them (re-spawning crashed shards with -resume), and merge their checkpoints")
-		merge       = fs.Bool("merge", false, "merge mode: union the checkpoint files given as arguments into one report (use before positional operands, e.g. -merge -keys-out k.txt a.ckpt b.ckpt)")
-		serveAddr   = fs.String("serve", "", "run the distributed campaign daemon on this address (host:port); campaigns arrive over the HTTP/JSON API and are scheduled as shard leases onto -worker processes")
-		workerURL   = fs.String("worker", "", "join the fleet of the campaign daemon at this URL: poll for shard leases, run each shard in a subprocess, and stream its checkpoint lines back")
-		submitURL   = fs.String("submit", "", "submit the campaign described by the workload flags to the daemon at this URL (-shards N picks the shard count), wait for it, and print the merged report")
-		leaseTTL    = fs.Duration("lease-ttl", 15*time.Second, "daemon heartbeat deadline per lease: a worker silent this long loses the lease and its shard is rescheduled with -resume")
-		heartbeatIv = fs.Duration("heartbeat", 5*time.Second, "worker keepalive period while a shard child runs")
-		killGrace   = fs.Duration("kill-grace", serve.DefaultKillGrace, "grace period after SIGTERM before a supervised shard that ignores cancellation is SIGKILLed (orchestrator and worker teardown)")
-		verbose     = fs.Bool("v", false, "print per-run statistics even when clean")
+		updRounds    = fs.Int("update-rounds", 1, "repeat the -updates pass this many times with identical values (the pruning ablation's repetitive-loop shape)")
+		ckptPath     = fs.String("checkpoint", "", "append completed failure points to this JSONL file")
+		resume       = fs.Bool("resume", false, "skip failure points already recorded in -checkpoint (and reopen the -pool-file, skipping the writeback of already-persisted pages)")
+		poolFile     = fs.String("pool-file", "", "back the PM pool with this mmap'd file, persisted with range-batched msync at every ordering point and failure-point snapshot; a fresh campaign refuses an existing file (-resume reopens it). With -spawn the value marks the request and each shard gets <workdir>/c<N>/shard<i>.pool")
+		workdir      = fs.String("workdir", "", "daemon directory for -spawn and -serve (default: a fresh temporary directory): each campaign gets the first free c<N>/ with its shard checkpoints (shard<i>.ckpt) and pool files (shard<i>.pool)")
+		keysOut      = fs.String("keys-out", "", "write the sorted deduplicated report keys to this file")
+		recordPath   = fs.String("record", "", "record the deterministic pre-failure pass once into this artifact (trace + engine checkpoints + pool deltas) and exit without post-failure runs; shards, -resume, and -serve workers replay it with -from-record instead of re-executing the program")
+		fromRecord   = fs.String("from-record", "", "replay the pre-failure stage from this recorded artifact instead of executing the program, fast-forwarding through the nearest engine checkpoint below the first owned failure point; the artifact's program identity must match this campaign's flags")
+		noFF         = fs.Bool("no-fast-forward", false, "ablation: the campaign daemon (-spawn, -submit) skips the record-once pass and every shard re-executes the pre-failure stage live (the report-key set is identical either way)")
+		shards       = fs.Int("shards", 0, "total shards of a partitioned campaign (this process runs failure points fp%%shards == shard-index)")
+		shardIndex   = fs.Int("shard-index", -1, "this process's shard in [0, shards)")
+		spawn        = fs.Int("spawn", 0, "run the campaign as this many shards on a campaign daemon and as many worker loops inside this process (-serve, N x -worker and -submit in one command): crashed shards are rescheduled with -resume and the merged report is printed")
+		merge        = fs.Bool("merge", false, "merge mode: union the checkpoint files given as arguments into one report (use before positional operands, e.g. -merge -keys-out k.txt a.ckpt b.ckpt)")
+		serveAddr    = fs.String("serve", "", "run the distributed campaign daemon on this address (host:port); campaigns arrive over the HTTP/JSON API and are scheduled as shard leases onto -worker processes")
+		workerURL    = fs.String("worker", "", "join the fleet of the campaign daemon at this URL: poll for shard leases, run each shard in a subprocess, and stream its checkpoint lines back")
+		submitURL    = fs.String("submit", "", "submit the campaign described by the workload flags to the daemon at this URL (-shards N picks the shard count), wait for it, and print the merged report")
+		leaseTTL     = fs.Duration("lease-ttl", 15*time.Second, "daemon heartbeat deadline per lease: a worker silent this long loses the lease and its shard is rescheduled with -resume")
+		heartbeatIv  = fs.Duration("heartbeat", 5*time.Second, "worker keepalive period while a shard child runs")
+		killGrace    = fs.Duration("kill-grace", serve.DefaultKillGrace, "grace period after SIGTERM before a shard or record child that ignores cancellation is SIGKILLed (worker lease teardown, daemon shutdown)")
+		verbose      = fs.Bool("v", false, "print per-run statistics even when clean")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -136,7 +140,7 @@ func realMain(args []string) int {
 		if *shards > 0 {
 			return errorf("-merge cannot be combined with -shards")
 		}
-		return runMerge(fs.Args(), *keysOut)
+		return runMerge(fs.Args(), true, *keysOut)
 	}
 	if *serveAddr != "" {
 		if *shards > 0 || *shardIndex >= 0 {
@@ -145,7 +149,7 @@ func realMain(args []string) int {
 		if *vcachePath != "" {
 			return errorf("-serve keeps its verdict cache under -workdir; drop -verdict-cache")
 		}
-		return runServe(*serveAddr, *workdir, *leaseTTL)
+		return runServe(*serveAddr, *workdir, *leaseTTL, *killGrace)
 	}
 	if *workerURL != "" {
 		if *shards > 0 || *shardIndex >= 0 || *workdir != "" {
@@ -160,7 +164,7 @@ func realMain(args []string) int {
 		case *shards < 0:
 			return errorf("-shards must be >= 0")
 		case *workdir != "":
-			return errorf("-workdir belongs to the daemon (-serve) or orchestrator (-spawn), not -submit")
+			return errorf("-workdir belongs to the daemon (-serve or -spawn), not -submit")
 		case *ckptPath != "" || *resume:
 			return errorf("-submit campaigns checkpoint on the daemon; drop -checkpoint/-resume")
 		case *vcachePath != "":
@@ -170,7 +174,27 @@ func realMain(args []string) int {
 		if campaignShards == 0 {
 			campaignShards = 1
 		}
-		return runSubmit(*submitURL, shardBaseArgs(fs), campaignShards, *poolFile != "", *keysOut)
+		return runSubmit(*submitURL, serve.CampaignSpec{Args: shardBaseArgs(fs), Shards: campaignShards, PoolFile: *poolFile != ""}, *keysOut)
+	}
+	if *vcachePath != "" && *noPrune {
+		return errorf("-verdict-cache requires pruning; drop -no-prune")
+	}
+	if *fromRecord != "" && *noFF {
+		return errorf("-no-fast-forward runs the pre-failure stage live; drop -from-record")
+	}
+	if *spawn != 0 {
+		switch {
+		case *spawn < 2:
+			return errorf("-spawn needs at least 2 shards")
+		case *shards > 0 || *shardIndex >= 0:
+			return errorf("-spawn derives the shard layout itself; drop -shards/-shard-index")
+		case *ckptPath != "" || *resume:
+			return errorf("-spawn campaigns checkpoint on the in-process daemon under -workdir; drop -checkpoint/-resume")
+		case *poolFile != "" && !slices.Contains(workerCaps(), serve.CapFileBacked):
+			return errorf("-pool-file needs file-backed pools, which workers on %s cannot run", runtime.GOOS)
+		}
+		return runSpawn(serve.CampaignSpec{Args: shardBaseArgs(fs), Shards: *spawn, PoolFile: *poolFile != ""},
+			*workdir, *vcachePath, *fromRecord, *keysOut, *leaseTTL, *heartbeatIv, *killGrace)
 	}
 	switch {
 	case *shards < 0:
@@ -180,39 +204,8 @@ func realMain(args []string) int {
 	case *shards <= 1 && *shardIndex >= 0:
 		return errorf("-shard-index requires -shards > 1")
 	}
-	if *workdir != "" && *spawn == 0 {
-		return errorf("-workdir requires -spawn (it lays out the fleet's per-shard pool and checkpoint files)")
-	}
-	if *spawn != 0 {
-		switch {
-		case *spawn < 2:
-			return errorf("-spawn needs at least 2 shards")
-		case *shards > 0:
-			return errorf("-spawn and -shards are mutually exclusive (-spawn derives the shard layout itself)")
-		case *ckptPath == "":
-			return errorf("-spawn requires -checkpoint: shard checkpoints are what crash recovery and the final merge consume")
-		case *ckptPath == stdioCheckpoint:
-			return errorf("-spawn needs per-shard checkpoint files; -checkpoint - (stdout streaming) is for daemon-scheduled shards")
-		case *poolFile != "" && *workdir == "":
-			return errorf("-spawn with -pool-file requires -workdir: each shard needs its own pool file (two shards sharing one corrupt each other)")
-		}
-		vc := *vcachePath
-		if *noVCache {
-			vc = "" // lay no cache files the shards would ignore anyway
-		}
-		return runSpawn(spawnConfig{
-			shards:        *spawn,
-			baseArgs:      shardBaseArgs(fs),
-			ckptBase:      *ckptPath,
-			workdir:       *workdir,
-			poolFile:      *poolFile != "",
-			vcache:        vc,
-			resume:        *resume,
-			keysOut:       *keysOut,
-			killGrace:     *killGrace,
-			fromRecord:    *fromRecord,
-			noFastForward: *noFF,
-		})
+	if *workdir != "" {
+		return errorf("-workdir belongs to the daemon (-spawn or -serve)")
 	}
 
 	cfg := core.Config{
@@ -273,9 +266,6 @@ func realMain(args []string) int {
 			return errorf("-record runs no post-failure executions; drop -verdict-cache")
 		}
 	}
-	if *fromRecord != "" && *noFF {
-		return errorf("-no-fast-forward runs the pre-failure stage live; drop -from-record")
-	}
 	var recordFile *os.File
 	if *recordPath != "" {
 		f, err := os.Create(*recordPath)
@@ -322,9 +312,6 @@ func realMain(args []string) int {
 		ckptW = w
 		cfg.OnPostRunComplete = w.record
 	}
-	if *vcachePath != "" && *noPrune {
-		return errorf("-verdict-cache requires pruning; drop -no-prune")
-	}
 	if cfg.Mode == core.ModeDetect && !*noPrune {
 		// Cross-process verdict sharing. A daemon-scheduled shard (the
 		// -worker sets the env pair) claims classes against the campaign's
@@ -345,8 +332,8 @@ func realMain(args []string) int {
 		}
 	}
 	if *shards > 1 {
-		// Shard progress on stderr: the -spawn orchestrator streams these
-		// lines, prefixed per shard, while the fleet runs.
+		// Shard progress on stderr: a worker forwards these lines,
+		// prefixed per shard, while the fleet runs.
 		inner := cfg.OnPostRunComplete
 		completed := 0
 		cfg.OnPostRunComplete = func(fp int, fpr uint64, fresh []core.Report) {
@@ -517,9 +504,10 @@ func programIdentity(workload, patch, mode string, initSize, testSize, updates, 
 	)
 }
 
-// shardBaseArgs rebuilds the workload/engine flags a -spawn orchestrator
-// forwards to every shard: every flag the user set except the ones the
-// orchestrator owns (shard layout, checkpoint paths, merge/keys output).
+// shardBaseArgs rebuilds the workload/engine flags -submit and -spawn
+// send as a campaign's argument vector, shared by every shard: every flag
+// the user set except the ones the daemon, the workers or this process
+// own (shard layout, checkpoint paths, merge/keys output, fleet settings).
 // The -name=value form keeps boolean flags parseable.
 func shardBaseArgs(fs *flag.FlagSet) []string {
 	owned := map[string]bool{

@@ -11,18 +11,20 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/pmemgo/xfdetector/internal/serve"
 )
 
 // TestMain doubles as the CLI when re-exec'd by the kill-and-resume and
-// sharding tests: with XFDETECTOR_SHARD_ARGS (JSON, set by the -spawn
-// orchestrator) or XFDETECTOR_HELPER_ARGS set, the test binary IS
-// xfdetector. The shard vector must win: an orchestrator running as a
-// helper passes its own helper env down to the shards it spawns.
+// sharding tests: with XFDETECTOR_SHARD_ARGS (JSON, set by a worker or the
+// daemon's record launcher) or XFDETECTOR_HELPER_ARGS set, the test binary
+// IS xfdetector. The shard vector must win: a -spawn fleet running as a
+// helper passes its own helper env down to the children it starts.
 func TestMain(m *testing.M) {
-	if encoded := os.Getenv(shardArgsEnv); encoded != "" {
+	if encoded := os.Getenv(serve.ShardArgsEnv); encoded != "" {
 		var args []string
 		if err := json.Unmarshal([]byte(encoded), &args); err != nil {
-			fmt.Fprintf(os.Stderr, "bad %s: %v\n", shardArgsEnv, err)
+			fmt.Fprintf(os.Stderr, "bad %s: %v\n", serve.ShardArgsEnv, err)
 			os.Exit(2)
 		}
 		os.Exit(realMain(args))
@@ -39,8 +41,8 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 }
 
 // runCLIEnv is runCLI with extra environment entries for the re-exec'd
-// process (e.g. the orchestrator's deterministic kill hook), usable from
-// parallel tests where t.Setenv is not.
+// process (e.g. the worker crash hook), usable from parallel tests where
+// t.Setenv is not.
 func runCLIEnv(t *testing.T, extraEnv []string, args ...string) (int, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])

@@ -24,8 +24,8 @@ import (
 // mergeCheckpoints unions the named checkpoints into a single Result with
 // reports deduplicated by DedupKey. Missing files are an error when
 // strict — a typo'd -merge operand must not read as an empty shard — and
-// tolerated by the orchestrator, whose crashed shards may never have
-// created their file (the coverage check still reports the hole).
+// tolerated for an interrupted -spawn fleet, whose shards may never have
+// streamed a line (the coverage check still reports the hole).
 func mergeCheckpoints(paths []string, strict bool) (*core.Result, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("no checkpoint files to merge")
@@ -48,10 +48,11 @@ func mergeCheckpoints(paths []string, strict bool) (*core.Result, error) {
 	return m.Result(fmt.Sprintf("merge of %d checkpoint(s)", len(paths))), nil
 }
 
-// runMerge is the -merge entry point: union, print, optionally write the
-// key fingerprint, and exit by the shared contract.
-func runMerge(paths []string, keysOut string) int {
-	res, err := mergeCheckpoints(paths, true)
+// runMerge is the -merge entry point, and the report of a -spawn fleet
+// interrupted by ^C: union, print, optionally write the key fingerprint,
+// and exit by the shared contract.
+func runMerge(paths []string, strict bool, keysOut string) int {
+	res, err := mergeCheckpoints(paths, strict)
 	if err != nil {
 		return errorf("merging checkpoints: %v", err)
 	}

@@ -28,7 +28,7 @@ func TestServeFlagValidation(t *testing.T) {
 	for _, args := range []string{
 		"-serve 127.0.0.1:0 -worker http://x",  // two modes at once
 		"-serve 127.0.0.1:0 -submit http://x",  // two modes at once
-		"-worker http://x -spawn 2",            // worker is not an orchestrator
+		"-worker http://x -spawn 2",            // two modes at once
 		"-serve 127.0.0.1:0 -shards 2",         // the daemon has no shard layout
 		"-worker http://x -shards 2",           // shard layout comes from the daemon
 		"-worker http://x -workdir /tmp/x",     // the daemon owns the workdir
@@ -36,7 +36,7 @@ func TestServeFlagValidation(t *testing.T) {
 		"-submit http://x -checkpoint c.jsonl", // campaigns checkpoint on the daemon
 		"-submit http://x -resume",             // resume is the daemon's decision
 		"-submit http://x -workdir /tmp/x",     // ditto the workdir
-		"-spawn 2 -checkpoint -",               // stdout streaming is for daemon shards
+		"-spawn 2 -checkpoint -",               // -spawn shards stream to its daemon
 	} {
 		if code, out := runCLI(t, args); code != 2 {
 			t.Errorf("%q exited %d, want 2:\n%s", args, code, out)

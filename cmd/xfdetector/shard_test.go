@@ -2,18 +2,35 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
 // Sharded-campaign tests at the CLI level: manual -shards/-shard-index
-// runs merged with -merge, and the -spawn orchestrator with its
-// crash-respawn supervision. All of them pin the contract that the merged
-// report key set is byte-identical to the single-process campaign's
-// -keys-out.
+// runs merged with -merge, and -spawn fleets (an in-process daemon and
+// workers) with a crashed shard rescheduled by lease expiry. All of them
+// pin the contract that the merged report key set is byte-identical to
+// the single-process campaign's -keys-out.
+
+// spawnFleet are the fleet settings of every -spawn test: a crashed
+// worker's lease expires after the TTL, while the heartbeat keeps healthy
+// leases alive even with seven fleets running in parallel.
+const spawnFleet = "-lease-ttl 2s -heartbeat 500ms"
+
+// spawnCrash arms the crash hook on a -spawn fleet's first worker: it
+// SIGKILLs its shard child after two streamed checkpoint lines and stops
+// without telling the daemon.
+var spawnCrash = []string{workerCrashEnv + "=2"}
+
+// crossShardRe reads the merged report's cross-shard attribution count;
+// the shards' own reports reach the output prefixed by their worker.
+var crossShardRe = regexp.MustCompile(`(?m)^cross-shard: (\d+)`)
 
 // TestShardFlagValidation: inconsistent shard flags are usage errors, not
 // silently partial campaigns.
@@ -22,9 +39,11 @@ func TestShardFlagValidation(t *testing.T) {
 		"-shards 2",                           // no -shard-index
 		"-shards 2 -shard-index 2",            // index out of range
 		"-shard-index 0",                      // index without -shards
-		"-spawn 2",                            // no -checkpoint
-		"-spawn 1 -checkpoint c",              // fewer than 2 shards
-		"-spawn 2 -shards 2 -checkpoint c",    // conflicting layouts
+		"-spawn 1",                            // fewer than 2 shards
+		"-spawn 2 -shards 2",                  // conflicting layouts
+		"-spawn 2 -shard-index 0",             // ditto
+		"-spawn 2 -checkpoint c",              // the daemon holds the checkpoints
+		"-spawn 2 -resume",                    // rescheduling decides -resume
 		"-merge -spawn 2",                     // conflicting modes
 		"-merge",                              // nothing to merge
 		"-merge /nonexistent/definitely.ckpt", // typo'd operand
@@ -38,26 +57,30 @@ func TestShardFlagValidation(t *testing.T) {
 // shardTable is the Table 4 workload matrix the sharded-equivalence
 // acceptance criterion runs over: the five micro benchmarks with a seeded
 // bug, Redis with the paper's Bug 3, and Memcached clean (whose empty
-// report set also exercises the empty -keys-out encoding).
+// report set also exercises the empty -keys-out encoding). The update-loop
+// B-Tree revisits its crash-state classes on every shard of a 3-shard
+// split, so that fleet must attribute some of them cross-shard instead of
+// re-running them (with 2 shards each of its classes stays on one shard).
 var shardTable = []struct {
-	name string
-	args string
+	name       string
+	args       string
+	crossShard bool
 }{
-	{"btree", "-workload btree -init 2 -test 2 -patch btree-skip-add-leaf"},
-	{"ctree", "-workload ctree -init 2 -test 2 -patch ctree-skip-add-count"},
-	{"rbtree", "-workload rbtree -init 2 -test 2 -patch rbt-skip-add-root"},
-	{"hashmap-tx", "-workload hashmap-tx -init 2 -test 2 -patch hmtx-skip-add-slot"},
-	{"hashmap-atomic", "-workload hashmap-atomic -init 2 -test 2 -patch hma-sem-inverted-dirty"},
-	{"redis", "-workload redis -init 2 -test 2 -patch init-race"},
-	{"memcached", "-workload memcached -init 2 -test 2"},
+	{"btree", "-workload btree -init 2 -test 2 -patch btree-skip-add-leaf", false},
+	{"ctree", "-workload ctree -init 2 -test 2 -patch ctree-skip-add-count", false},
+	{"rbtree", "-workload rbtree -init 2 -test 2 -patch rbt-skip-add-root", false},
+	{"hashmap-tx", "-workload hashmap-tx -init 2 -test 2 -patch hmtx-skip-add-slot", false},
+	{"hashmap-atomic", "-workload hashmap-atomic -init 2 -test 2 -patch hma-sem-inverted-dirty", false},
+	{"redis", "-workload redis -init 2 -test 2 -patch init-race", false},
+	{"memcached", "-workload memcached -init 2 -test 2", false},
+	{"btree-update-loop", "-workload btree -init 2 -test 1 -updates 2 -update-rounds 20 -patch btree-skip-add-leaf", true},
 }
 
 // TestShardedCampaignEquivalence: for every workload in the equivalence
-// table, an N-shard campaign (N ∈ {2, 3}) driven by the -spawn
-// orchestrator merges to the byte-identical key set of the single-process
-// run — including when one shard is SIGKILLed mid-run and re-spawned with
-// -resume (the 3-shard variant arms the orchestrator's deterministic
-// kill hook on shard 1).
+// table, an N-shard -spawn fleet (N ∈ {2, 3}) merges to the byte-identical
+// key set of the single-process run — including when one shard is
+// SIGKILLed mid-run and rescheduled with -resume (the 3-shard variant arms
+// the worker crash hook).
 func TestShardedCampaignEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs full detection campaigns")
@@ -78,13 +101,14 @@ func TestShardedCampaignEquivalence(t *testing.T) {
 			}
 
 			for _, shards := range []int{2, 3} {
-				ckpt := filepath.Join(dir, fmt.Sprintf("n%d.ckpt", shards))
+				workdir := filepath.Join(dir, fmt.Sprintf("n%d", shards))
 				keys := filepath.Join(dir, fmt.Sprintf("n%d-keys.txt", shards))
 				var env []string
 				if shards == 3 {
-					env = []string{spawnTestKillEnv + "=1"}
+					env = spawnCrash
 				}
-				mcode, mout := runCLIEnv(t, env, fmt.Sprintf("%s -spawn %d -checkpoint %s -keys-out %s", tt.args, shards, ckpt, keys))
+				mcode, mout := runCLIEnv(t, env, fmt.Sprintf("%s -spawn %d %s -workdir %s -keys-out %s",
+					tt.args, shards, spawnFleet, workdir, keys))
 				if mcode != code {
 					t.Fatalf("spawn %d exited %d, single-process run exited %d:\n%s", shards, mcode, code, mout)
 				}
@@ -93,8 +117,11 @@ func TestShardedCampaignEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(ref, got) {
-					t.Errorf("spawn %d merged keys diverge from single-process run:\nref:\n%s\nmerged:\n%s\norchestrator output:\n%s",
+					t.Errorf("spawn %d merged keys diverge from single-process run:\nref:\n%s\nmerged:\n%s\nfleet output:\n%s",
 						shards, ref, got, mout)
+				}
+				if n := extract(t, crossShardRe, mout); tt.crossShard && shards == 3 && n == 0 {
+					t.Errorf("spawn %d attributed no crash-state class across shards:\n%s", shards, mout)
 				}
 			}
 		})
@@ -158,8 +185,8 @@ func TestManualShardingAndMerge(t *testing.T) {
 	}
 }
 
-// TestSpawnRespawnsKilledShard: on a campaign long enough that the kill
-// hook reliably lands mid-run, the orchestrator must actually re-spawn the
+// TestSpawnRespawnsKilledShard: on a campaign long enough that the crash
+// hook reliably lands mid-run, the fleet must actually reschedule the
 // SIGKILLed shard with -resume and still merge to the single-process key
 // set.
 func TestSpawnRespawnsKilledShard(t *testing.T) {
@@ -173,18 +200,18 @@ func TestSpawnRespawnsKilledShard(t *testing.T) {
 		t.Fatalf("single-process run exited %d, want 1:\n%s", code, out)
 	}
 
-	ckpt := filepath.Join(dir, "spawn.ckpt")
+	workdir := filepath.Join(dir, "fleet")
 	keys := filepath.Join(dir, "spawn-keys.txt")
-	mcode, mout := runCLIEnv(t, []string{spawnTestKillEnv + "=1"},
-		fmt.Sprintf("%s -spawn 3 -checkpoint %s -keys-out %s", campaign, ckpt, keys))
+	mcode, mout := runCLIEnv(t, spawnCrash,
+		fmt.Sprintf("%s -spawn 3 %s -workdir %s -keys-out %s", campaign, spawnFleet, workdir, keys))
 	if mcode != 1 {
-		t.Fatalf("orchestrator exited %d, want 1:\n%s", mcode, mout)
+		t.Fatalf("fleet exited %d, want 1:\n%s", mcode, mout)
 	}
-	if !strings.Contains(mout, "re-spawning with -resume") {
-		t.Fatalf("orchestrator never re-spawned the killed shard:\n%s", mout)
+	if !strings.Contains(mout, "rescheduling with -resume") {
+		t.Fatalf("fleet never rescheduled the killed shard:\n%s", mout)
 	}
 	if !strings.Contains(mout, "resumed:") {
-		t.Errorf("re-spawned shard did not resume from its checkpoint:\n%s", mout)
+		t.Errorf("rescheduled shard did not resume from its checkpoint:\n%s", mout)
 	}
 	ref, err := os.ReadFile(refKeys)
 	if err != nil {
@@ -196,5 +223,44 @@ func TestSpawnRespawnsKilledShard(t *testing.T) {
 	}
 	if !bytes.Equal(ref, got) {
 		t.Errorf("merged keys diverge after kill+respawn:\nref:\n%s\nmerged:\n%s", ref, got)
+	}
+}
+
+// TestSpawnInterruptMergesCheckpoints: ^C on a running -spawn fleet stops
+// its shards and reports the merge of the daemon-held shard checkpoints
+// written so far — INCOMPLETE, exit 3 — instead of a partial result posing
+// as the campaign.
+func TestSpawnInterruptMergesCheckpoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-execs a shard fleet")
+	}
+	workdir := filepath.Join(t.TempDir(), "fleet")
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "XFDETECTOR_HELPER_ARGS=-workload btree -init 3 -test 300 -patch btree-skip-add-leaf -spawn 3 -workdir "+workdir)
+	var out bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "streamed checkpoint lines", func() bool {
+		n := 0
+		for i := 0; i < 3; i++ {
+			n += countLines(filepath.Join(workdir, "c1", fmt.Sprintf("shard%d.ckpt", i)))
+		}
+		return n >= 5
+	})
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	err := cmd.Wait()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 3 {
+		t.Fatalf("interrupted fleet exited with %v, want exit 3:\n%s", err, out.String())
+	}
+	for _, want := range []string{"INCOMPLETE", "merged checkpoints:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("interrupted fleet output lacks %q:\n%s", want, out.String())
+		}
 	}
 }

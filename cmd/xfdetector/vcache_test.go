@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -116,48 +115,32 @@ func TestWarmVerdictCacheSecondRun(t *testing.T) {
 	}
 }
 
-// TestSpawnShardVerdictCaches: a -spawn fleet lays per-shard cache files
-// and a repeat fleet reuses them — the merged key set stays identical and
-// the summed summaries land in the cache_hits bucket.
+// TestSpawnShardVerdictCaches: a -spawn fleet fills the one verdict cache
+// its daemon holds for every shard, and a repeat fleet over the same
+// workdir reuses it — the merged key set stays identical and the summed
+// summaries land in the cache_hits bucket.
 func TestSpawnShardVerdictCaches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs shard fleets")
 	}
 	dir := t.TempDir()
 	workdir := filepath.Join(dir, "fleet")
+	cache := filepath.Join(dir, "verdicts.cache")
 	coldKeys := filepath.Join(dir, "cold.txt")
 	warmKeys := filepath.Join(dir, "warm.txt")
-	base := cleanCampaign + " -spawn 2 -workdir " + workdir +
-		" -checkpoint " + filepath.Join(dir, "c.ckpt") + " -verdict-cache marker"
+	base := cleanCampaign + " -spawn 2 " + spawnFleet + " -workdir " + workdir + " -verdict-cache " + cache
 
 	code, out := runCLI(t, base+" -keys-out "+coldKeys)
 	if code != 0 && code != 1 {
 		t.Fatalf("cold fleet exited %d:\n%s", code, out)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := os.Stat(filepath.Join(workdir, fmt.Sprintf("shard%d.vcache", i))); err != nil {
-			t.Errorf("shard %d cache file missing: %v", i, err)
-		}
+	if _, err := os.Stat(cache); err != nil {
+		t.Errorf("fleet cache file missing: %v", err)
 	}
 
-	// Fresh checkpoints, same workdir: the shard caches are warm.
-	warmdir := filepath.Join(dir, "fleet2")
-	for i := 0; i < 2; i++ {
-		src := filepath.Join(workdir, fmt.Sprintf("shard%d.vcache", i))
-		data, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(warmdir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(warmdir, fmt.Sprintf("shard%d.vcache", i)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warmBase := cleanCampaign + " -spawn 2 -workdir " + warmdir +
-		" -checkpoint " + filepath.Join(dir, "c2.ckpt") + " -verdict-cache marker"
-	code, out = runCLI(t, warmBase+" -keys-out "+warmKeys)
+	// A new daemon over the same workdir: fresh campaign directory, warm
+	// cache.
+	code, out = runCLI(t, base+" -keys-out "+warmKeys)
 	if code != 0 && code != 1 {
 		t.Fatalf("warm fleet exited %d:\n%s", code, out)
 	}

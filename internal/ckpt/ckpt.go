@@ -5,9 +5,9 @@
 // accounting once the campaign completes.
 //
 // The same JSONL stream serves three roles: the on-disk crash-recovery
-// checkpoint (-checkpoint/-resume), the merge input (-merge and the -spawn
-// orchestrator), and the wire format a -worker streams back to a -serve
-// daemon line by line. Parsing is therefore deliberately forgiving about
+// checkpoint (-checkpoint/-resume), the merge input (-merge, and a -spawn
+// fleet interrupted by ^C), and the wire format a -worker streams back to
+// a -serve daemon. Parsing is therefore deliberately forgiving about
 // exactly one thing — a torn trailing line, the write a crash interrupted —
 // and strict about everything else.
 package ckpt
@@ -118,10 +118,10 @@ func Summary(res *core.Result, shards int) Line {
 // trailing newline. A final unterminated fragment is delivered too. fn
 // returning an error stops the scan and returns that error.
 //
-// This is the one line reader for every checkpoint stream: resume loads,
-// merge loads, the worker streaming a shard's stdout to the daemon, and
-// the orchestrator forwarding shard progress (which truncates for display
-// with Truncate rather than capping the read).
+// This is the line reader for checkpoint files and streams — resume
+// loads, merge loads — and for the worker forwarding shard progress
+// (which truncates for display with Truncate rather than capping the
+// read). The worker's checkpoint stream batches lines itself.
 func ForEachLine(r io.Reader, fn func(line string) error) error {
 	br := bufio.NewReaderSize(r, 64<<10)
 	for {

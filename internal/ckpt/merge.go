@@ -7,7 +7,7 @@ import (
 )
 
 // Merger unions checkpoint lines from any number of sources (shard files
-// for -merge and -spawn, live lease streams for the -serve daemon) into
+// for -merge, live lease streams for the -serve daemon) into
 // one deduplicated campaign result, incrementally: lines are added as
 // they arrive and the merged view can be snapshotted at any point for
 // live coverage accounting.

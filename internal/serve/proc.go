@@ -13,9 +13,9 @@ import (
 // not catch would otherwise hang its supervisor forever. done must be
 // closed when the process has been waited on; a nil process is a no-op.
 //
-// Both supervisors use it: the -spawn orchestrator on ^C, and the worker
-// loop when tearing down a lease (shutdown, or the daemon declaring the
-// lease expired).
+// The worker loop uses it when tearing down a lease (shutdown, or the
+// daemon declaring the lease expired), and the CLI's record-once launcher
+// on daemon shutdown.
 func TerminateThenKill(p *os.Process, done <-chan struct{}, grace time.Duration) {
 	if p == nil {
 		return

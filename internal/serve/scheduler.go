@@ -7,13 +7,15 @@
 // the daemon appends to per-shard files and merges online with live
 // coverage accounting. Leases carry heartbeat deadlines: a worker that
 // goes silent has its lease expired and the shard rescheduled with
-// -resume against the daemon-held checkpoint — the crash-respawn
-// semantics the -spawn orchestrator implements locally, generalized over
-// the network.
+// -resume against the daemon-held checkpoint. `xfdetector -spawn N` runs
+// the same daemon in-process with N local workers, so one scheduler serves
+// both the single-machine and the networked fleet.
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,9 +69,9 @@ type LeaseGrant struct {
 //	   │   expiry / crash / release (attempts left)
 //	   └────────────────────┘            resume=true
 //
-// A shard that exhausts its attempts is finalized with exit 3 (the
-// -spawn orchestrator's giving-up semantics); the campaign completes
-// Incomplete through the merge's coverage check.
+// A shard that exhausts its attempts is finalized with exit 3, the state
+// a cancelled single process reports; the campaign completes Incomplete
+// through the merge's coverage check.
 const (
 	shardPending = "pending"
 	shardLeased  = "leased"
@@ -152,14 +154,15 @@ func (l *lease) noteClean(fingerprint uint64) {
 // lease table, and the per-campaign online mergers. It is driven by the
 // HTTP handlers (Handler) but fully usable in-process for tests.
 type Server struct {
-	// Workdir owns the per-campaign directories (c<N>/shard<i>.ckpt).
+	// Workdir owns the per-campaign directories (c<N>/shard<i>.ckpt). A
+	// campaign never reuses a directory an earlier daemon lifetime left.
 	Workdir string
 	// LeaseTTL is the heartbeat deadline: a lease not renewed (by lines,
 	// a heartbeat, or completion) within it is expired and its shard
 	// rescheduled.
 	LeaseTTL time.Duration
 	// MaxAttempts bounds the lease chain per shard: the initial grant
-	// plus the crash recoveries, mirroring the -spawn orchestrator.
+	// plus the crash recoveries.
 	MaxAttempts int
 	// Logf receives scheduler events; nil logs to stderr.
 	Logf func(format string, args ...any)
@@ -189,6 +192,8 @@ type Server struct {
 	// runnable campaigns share the worker fleet instead of draining in
 	// strict submission order.
 	rr int
+	// records counts the record-once passes in flight (WaitRecords).
+	records sync.WaitGroup
 }
 
 // NewServer returns a daemon rooted at workdir (which must exist) with
@@ -214,7 +219,7 @@ func (s *Server) logf(format string, args ...any) {
 
 // ownedFlags are argument prefixes a submission must not carry: the
 // daemon owns the shard layout and checkpoint transport, and a worker is
-// not a place to start nested orchestration.
+// not a place to start a nested fleet.
 var ownedFlags = []string{
 	"-spawn", "-merge", "-shards", "-shard-index", "-checkpoint", "-resume",
 	"-keys-out", "-serve", "-worker", "-submit", "-workdir", "-pool-file",
@@ -250,19 +255,29 @@ func (s *Server) Submit(spec CampaignSpec) (string, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextC++
 	c := &campaign{
-		id:       fmt.Sprintf("c%d", s.nextC),
 		spec:     spec,
-		dir:      filepath.Join(s.Workdir, fmt.Sprintf("c%d", s.nextC)),
 		merger:   ckpt.NewMerger(),
 		state:    campaignRunning,
 		registry: core.NewClassRegistry(),
 		identity: vcache.Identity(spec.Args...),
 		noCache:  specHasFlag(spec.Args, "-no-verdict-cache"),
 	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return "", fmt.Errorf("creating campaign dir: %v", err)
+	// The campaign takes the first c<N> that does not exist yet. Shard
+	// files are opened for appending, so a directory left by an earlier
+	// daemon over the same workdir would hand a rescheduled shard the old
+	// campaign's lines as its -resume checkpoint.
+	for {
+		s.nextC++
+		c.id = fmt.Sprintf("c%d", s.nextC)
+		c.dir = filepath.Join(s.Workdir, c.id)
+		err := os.Mkdir(c.dir, 0o755)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			return "", fmt.Errorf("creating campaign dir: %v", err)
+		}
 	}
 	for i := 0; i < spec.Shards; i++ {
 		c.shards = append(c.shards, &shardState{
@@ -276,15 +291,24 @@ func (s *Server) Submit(spec CampaignSpec) (string, error) {
 	s.logf("campaign %s submitted: %d shard(s), args %q", c.id, spec.Shards, strings.Join(spec.Args, " "))
 	if s.Record != nil && !specHasFlag(spec.Args, "-no-fast-forward") {
 		c.recording = true
+		s.records.Add(1)
 		go s.recordCampaign(c)
 	}
 	return c.id, nil
+}
+
+// WaitRecords blocks until every record-once pass the daemon started has
+// returned. Call it once no campaign can be submitted any more: a record
+// launcher stopping its child on shutdown needs the daemon to outlive it.
+func (s *Server) WaitRecords() {
+	s.records.Wait()
 }
 
 // recordCampaign runs the record-once pass for a freshly submitted
 // campaign and publishes the artifact. Failure is logged, not fatal: the
 // campaign's shards simply run their pre-failure stages live.
 func (s *Server) recordCampaign(c *campaign) {
+	defer s.records.Done()
 	path, err := s.Record(c.dir, c.spec.Args)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -399,6 +423,23 @@ func (s *Server) ArtifactPath(leaseID string) (string, error) {
 	return l.c.artifact, nil
 }
 
+// ShardCheckpoints returns the daemon-held checkpoint files of campaign
+// id's shards in shard order; a shard that never streamed a line has no
+// file yet.
+func (s *Server) ShardCheckpoints(id string) ([]string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, ok := s.byID[id]
+	if !ok {
+		return nil, fmt.Errorf("unknown campaign %q", id)
+	}
+	paths := make([]string, len(c.shards))
+	for i, sh := range c.shards {
+		paths[i] = sh.path
+	}
+	return paths, nil
+}
+
 // hasCap reports whether a worker's capability tags include want.
 func hasCap(caps []string, want string) bool {
 	for _, c := range caps {
@@ -443,8 +484,7 @@ func (s *Server) endLeaseLocked(l *lease) {
 }
 
 // rescheduleLocked returns a shard to the pending queue with -resume, or
-// finalizes it as given-up (exit 3, the orchestrator's semantics) when
-// its attempts are exhausted.
+// finalizes it as given-up (exit 3) when its attempts are exhausted.
 func (s *Server) rescheduleLocked(c *campaign, sh *shardState) {
 	if sh.attempts >= s.MaxAttempts {
 		sh.state = shardDone

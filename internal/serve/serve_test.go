@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -407,5 +413,127 @@ func TestFailedRecordingFallsBackToLive(t *testing.T) {
 	}
 	if grant.Artifact {
 		t.Error("failed recording still advertised an artifact")
+	}
+}
+
+// TestSubmitNeverReusesCampaignDir: a daemon restarted over the same
+// workdir must not put a new campaign into a directory an earlier
+// lifetime left behind — shard files are appended to, so a rescheduled
+// shard would -resume from the old campaign's failure points.
+func TestSubmitNeverReusesCampaignDir(t *testing.T) {
+	s, _ := testServer(t, time.Minute)
+	old := filepath.Join(s.Workdir, "c1")
+	foreign := "{\"fp\":7}\n{\"fp\":8}\n"
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(old, "shard0.ckpt"), []byte(foreign), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	id := mustSubmit(t, s, CampaignSpec{Args: []string{"-workload", "btree"}, Shards: 1})
+	grant := mustAcquire(t, s, "w1")
+	own := "{\"fp\":0}\n"
+	if err := s.AppendLines(grant.Lease, []byte(own)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finish(grant.Lease, -1, false); err != nil {
+		t.Fatal(err)
+	}
+	regrant := mustAcquire(t, s, "w1")
+	if !regrant.Resume || regrant.Checkpoint != own {
+		t.Errorf("campaign %s regrant resumes from %q, want only its own line %q", id, regrant.Checkpoint, own)
+	}
+	if data, err := os.ReadFile(filepath.Join(old, "shard0.ckpt")); err != nil || string(data) != foreign {
+		t.Errorf("earlier lifetime's checkpoint changed: %q (%v)", data, err)
+	}
+}
+
+// TestWorkerBatchesLines drives a Worker against the daemon's HTTP API
+// with /bin/sh as the shard binary. A burst of lines the child writes at
+// once must land durably and merged in fewer POSTs than lines; with the
+// crash hook armed at 2, exactly 2 lines reach the daemon before the kill.
+func TestWorkerBatchesLines(t *testing.T) {
+	if _, err := os.Stat("/bin/sh"); err != nil {
+		t.Skip("needs /bin/sh")
+	}
+	const k = 20
+	lines := make([]string, k)
+	for fp := range lines {
+		lines[fp] = fmt.Sprintf("{\"fp\":%d}\n", fp)
+	}
+	burst := "printf '" + strings.Join(lines, "") + "'"
+	for _, tt := range []struct {
+		name       string
+		crashAfter int
+		script     string // the shard child; the daemon's shard flags become $0, $1, ...
+		wantLines  int
+	}{
+		{"burst", 0, burst, k},
+		{"crash hook", 2, burst + "; exec sleep 30", 2},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			s, _ := testServer(t, time.Minute)
+			var posts atomic.Int32
+			api := s.Handler()
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/lines") {
+					posts.Add(1)
+				}
+				api.ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+			id := mustSubmit(t, s, CampaignSpec{Args: []string{"-c", tt.script}, Shards: 1})
+
+			w := &Worker{
+				Client:          &Client{BaseURL: ts.URL},
+				ID:              "w1",
+				Exe:             "/bin/sh",
+				Poll:            5 * time.Millisecond,
+				Grace:           time.Second,
+				Output:          io.Discard,
+				CrashAfterLines: tt.crashAfter,
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- w.Run(ctx) }()
+
+			if tt.crashAfter > 0 {
+				select {
+				case err := <-done:
+					if !errors.Is(err, ErrWorkerCrashed) {
+						t.Fatalf("worker returned %v, want ErrWorkerCrashed", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("crash hook never fired")
+				}
+			} else {
+				deadline := time.Now().Add(10 * time.Second)
+				for st, _ := s.CampaignStatus(id); st.State != "done"; st, _ = s.CampaignStatus(id) {
+					if time.Now().After(deadline) {
+						t.Fatalf("campaign never finished: %+v", st)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+				cancel()
+				<-done
+			}
+
+			st, err := s.CampaignStatus(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Covered != tt.wantLines || st.ShardStates[0].Lines != tt.wantLines {
+				t.Errorf("merged %d point(s) from %d line(s), want %d", st.Covered, st.ShardStates[0].Lines, tt.wantLines)
+			}
+			data, err := os.ReadFile(s.byID[id].shards[0].path)
+			if want := strings.Join(lines[:tt.wantLines], ""); err != nil || string(data) != want {
+				t.Errorf("daemon-held checkpoint = %q (%v), want %q", data, err, want)
+			}
+			if n := int(posts.Load()); tt.crashAfter == 0 && n >= k {
+				t.Errorf("%d line(s) took %d POST(s), want fewer", k, n)
+			}
+		})
 	}
 }

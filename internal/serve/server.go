@@ -47,26 +47,26 @@ type ShardStatus struct {
 // report count, and degradation buckets while running; plus the merged
 // result text, sorted report keys, and exit code once done.
 type CampaignStatus struct {
-	ID               string  `json:"id"`
-	State            string  `json:"state"`
-	Failure          string  `json:"failure,omitempty"`
-	Shards           int     `json:"shards"`
-	Covered          int     `json:"covered"`
-	Total            int     `json:"total"` // -1 until a shard completes
-	Reports          int     `json:"reports"`
-	Buckets          Buckets `json:"buckets"`
+	ID      string  `json:"id"`
+	State   string  `json:"state"`
+	Failure string  `json:"failure,omitempty"`
+	Shards  int     `json:"shards"`
+	Covered int     `json:"covered"`
+	Total   int     `json:"total"` // -1 until a shard completes
+	Reports int     `json:"reports"`
+	Buckets Buckets `json:"buckets"`
 	// Registry-side verdict-sharing counters, live while the campaign
 	// runs: distinct crash-state classes claimed over the lease API, clean
 	// verdicts attributed to non-owning shards, and claims answered from
 	// the daemon's cross-campaign cache. (Buckets carries the shard-side
 	// view summed from completed summaries; these count as claims happen.)
-	CrashStateClasses int  `json:"crash_state_classes"`
-	CrossShardPruned  int  `json:"cross_shard_pruned"`
-	CacheHits         int  `json:"cache_hits"`
-	Clean             bool `json:"clean"`
-	Incomplete       bool    `json:"incomplete"`
-	IncompleteReason string  `json:"incomplete_reason,omitempty"`
-	FailurePoints    int     `json:"failure_points"`
+	CrashStateClasses int    `json:"crash_state_classes"`
+	CrossShardPruned  int    `json:"cross_shard_pruned"`
+	CacheHits         int    `json:"cache_hits"`
+	Clean             bool   `json:"clean"`
+	Incomplete        bool   `json:"incomplete"`
+	IncompleteReason  string `json:"incomplete_reason,omitempty"`
+	FailurePoints     int    `json:"failure_points"`
 	// ExitCode follows the CLI contract (0 clean, 1 bugs, 2 failed,
 	// 3 incomplete); -1 while the campaign is still running.
 	ExitCode    int           `json:"exit_code"`

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,8 +21,8 @@ import (
 // the child process. The child's real argv carries the same flags (so ps
 // and pkill can see them), but the environment copy is authoritative:
 // when the supervisor is a re-exec'd test binary, argv must not reach the
-// testing package's flag parser. The -spawn orchestrator and the worker
-// loop share this convention (and therefore the same child binaries).
+// testing package's flag parser. The worker loop and the daemon's
+// record-once launcher share this convention.
 const ShardArgsEnv = "XFDETECTOR_SHARD_ARGS"
 
 // ErrWorkerCrashed is returned by Worker.Run when the deterministic crash
@@ -34,11 +36,11 @@ var ErrWorkerCrashed = errors.New("worker crash hook fired")
 const forwardLineCap = 16 << 10
 
 // Worker runs shard leases against a daemon: poll for a lease, exec the
-// shard child it names, stream the child's checkpoint stdout back line by
-// line (each send renews the heartbeat; a ticker covers line-less
-// stretches inside long post-runs), and resolve the lease with the
-// child's exit code. On teardown — shutdown, or the daemon declaring the
-// lease gone — the child gets SIGTERM and, after Grace, SIGKILL.
+// shard child it names, stream the child's checkpoint stdout back (each
+// send renews the heartbeat; a ticker covers line-less stretches inside
+// long post-runs), and resolve the lease with the child's exit code. On
+// teardown — shutdown, or the daemon declaring the lease gone — the child
+// gets SIGTERM and, after Grace, SIGKILL.
 type Worker struct {
 	Client *Client
 	// ID names this worker in leases and logs.
@@ -63,6 +65,11 @@ type Worker struct {
 	// checkpoint lines the worker SIGKILLs its child and returns
 	// ErrWorkerCrashed without telling the daemon anything.
 	CrashAfterLines int
+	// ArtifactPath, when set, resolves a lease's recorded artifact to a
+	// file the shard child can read in place — the in-process workers of
+	// -spawn share the daemon's filesystem — instead of downloading a
+	// copy over the lease for every shard.
+	ArtifactPath func(lease string) (string, error)
 
 	crashed bool
 	sent    int
@@ -126,10 +133,16 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) error {
 	// hand it to the child with -from-record. Any fetch failure downgrades
 	// to a live pre-failure stage — slower, never unsound.
 	if grant.Artifact {
-		if path, err := w.fetchArtifact(grant.Lease); err != nil {
+		var path string
+		var err error
+		if w.ArtifactPath != nil {
+			path, err = w.ArtifactPath(grant.Lease)
+		} else if path, err = w.fetchArtifact(grant.Lease); err == nil {
+			defer os.Remove(path)
+		}
+		if err != nil {
 			w.logf("lease %s: artifact fetch failed (%v); running the pre-failure stage live", grant.Lease, err)
 		} else {
-			defer os.Remove(path)
 			grant.Args = append(grant.Args, "-from-record", path)
 			w.logf("lease %s: fetched recorded artifact; shard fast-forwards with -from-record", grant.Lease)
 		}
@@ -148,7 +161,7 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) error {
 		VerdictLeaseEnv+"="+grant.Lease)
 	// The daemon-held checkpoint rides in on stdin: with -checkpoint -
 	// and -resume the child seeds its completed-failure-point set from
-	// it, the crash-respawn semantics of -spawn carried over the network.
+	// it and picks up where the previous incarnation died.
 	cmd.Stdin = strings.NewReader(grant.Checkpoint)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -215,30 +228,37 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) error {
 
 	// The checkpoint stream: every stdout line is one durable JSONL
 	// record, forwarded verbatim (never truncated — it is the wire
-	// format, not display output).
-	errStreamStop := errors.New("stop streaming")
-	streamErr := ckpt.ForEachLine(stdout, func(line string) error {
-		if strings.TrimSpace(line) == "" {
-			return nil
+	// format, not display output). The daemon fsyncs each POST under its
+	// scheduler lock, so one POST carries every line already read; the
+	// crash hook caps a chunk so it still fires after exactly its count.
+	lines := bufio.NewReaderSize(stdout, 64<<10)
+	for {
+		limit := 0
+		if w.CrashAfterLines > 0 {
+			limit = w.CrashAfterLines - w.sent
 		}
-		if err := w.Client.SendLines(grant.Lease, []byte(line+"\n")); err != nil {
-			if errors.Is(err, ErrLeaseGone) {
+		chunk, n, err := readChunk(lines, limit)
+		if n > 0 {
+			if err := w.Client.SendLines(grant.Lease, chunk); errors.Is(err, ErrLeaseGone) {
 				w.logf("lease %s: daemon rejected lines; tearing down shard child", grant.Lease)
 				loseLease()
-				return errStreamStop
+				break
+			} else if err != nil {
+				w.logf("lease %s: streaming lines failed: %v", grant.Lease, err)
 			}
-			w.logf("lease %s: streaming line failed: %v", grant.Lease, err)
+			w.sent += n
+			if w.CrashAfterLines > 0 && w.sent >= w.CrashAfterLines {
+				w.crashed = true
+				cmd.Process.Kill()
+				break
+			}
 		}
-		w.sent++
-		if w.CrashAfterLines > 0 && w.sent >= w.CrashAfterLines && !w.crashed {
-			w.crashed = true
-			cmd.Process.Kill()
-			return errStreamStop
+		if err != nil {
+			if err != io.EOF {
+				w.logf("lease %s: checkpoint stream error: %v", grant.Lease, err)
+			}
+			break
 		}
-		return nil
-	})
-	if streamErr != nil && streamErr != errStreamStop {
-		w.logf("lease %s: checkpoint stream error: %v", grant.Lease, streamErr)
 	}
 	// Drain whatever the child still writes after we stopped streaming so
 	// its pipe cannot block; then reap it.
@@ -275,6 +295,33 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) error {
 		w.logf("lease %s: shard %d exited %d", grant.Lease, grant.Shard, code)
 		return w.Client.Finish(grant.Lease, code, false)
 	}
+}
+
+// readChunk blocks for one checkpoint line, then takes every further
+// complete line already buffered in r — it never waits for more — up to
+// limit lines (limit <= 0: no cap). Blank lines are skipped and a final
+// unterminated line is newline-terminated. It returns the chunk, its line
+// count, and the read error (io.EOF at the end of the stream), which may
+// come with a final chunk.
+func readChunk(r *bufio.Reader, limit int) ([]byte, int, error) {
+	var chunk []byte
+	n := 0
+	for limit <= 0 || n < limit {
+		if n > 0 {
+			if buffered, _ := r.Peek(r.Buffered()); bytes.IndexByte(buffered, '\n') < 0 {
+				break
+			}
+		}
+		line, err := r.ReadBytes('\n')
+		if len(bytes.TrimSpace(line)) > 0 {
+			chunk = append(append(chunk, bytes.TrimSuffix(line, []byte("\n"))...), '\n')
+			n++
+		}
+		if err != nil {
+			return chunk, n, err
+		}
+	}
+	return chunk, n, nil
 }
 
 // fetchArtifact downloads the lease's campaign artifact into a temp file
