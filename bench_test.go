@@ -179,31 +179,6 @@ func BenchmarkTable1(b *testing.B) {
 
 // Ablations: the detector's design choices called out in DESIGN.md.
 
-// BenchmarkAblationIPCapture compares detection with and without
-// source-location capture (the runtime.Caller cost of the tracing
-// frontend).
-func BenchmarkAblationIPCapture(b *testing.B) {
-	m, _ := workloads.MakerFor("B-Tree")
-	for _, disabled := range []bool{false, true} {
-		name := "WithIP"
-		if disabled {
-			name = "NoIP"
-		}
-		disabled := disabled
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := workloads.TargetConfig{InitSize: 2, TestSize: 2, PostOps: true}
-				_, err := core.Run(core.Config{
-					PoolSize: bench.DefaultPoolSize, DisableIPCapture: disabled,
-				}, workloads.DetectionTarget(m, cfg))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationFailurePointElision compares detection with and without
 // the §5.4 empty-interval optimization.
 func BenchmarkAblationFailurePointElision(b *testing.B) {
@@ -226,106 +201,6 @@ func BenchmarkAblationFailurePointElision(b *testing.B) {
 			}
 			b.ReportMetric(float64(fps)/float64(b.N), "failpoints/op")
 		})
-	}
-}
-
-// BenchmarkAblationSnapshots compares detection per Table 4 workload with
-// the incremental dirty-page snapshots and copy-on-write post images
-// (default) against full image copies per failure point
-// (DisableIncrementalSnapshots, the mechanism as the paper states it).
-func BenchmarkAblationSnapshots(b *testing.B) {
-	for _, w := range bench.Table4() {
-		w := w
-		for _, ablate := range []bool{false, true} {
-			name, ablate := "Incremental", ablate
-			if ablate {
-				name = "FullCopy"
-			}
-			b.Run(w.Name+"/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_, err := core.Run(core.Config{
-						PoolSize:                    bench.DefaultPoolSize,
-						DisableIncrementalSnapshots: ablate,
-					}, w.Target(bench.Fig12Config))
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSnapshotPoolSweep sweeps the pool size under a fixed small
-// working set. The per-failure-point snapshot cost is what separates the
-// two schemes: incremental snapshots pay for the delta (near-flat in the
-// pool size), full image copies pay for the whole pool (linear).
-func BenchmarkSnapshotPoolSweep(b *testing.B) {
-	target := core.Target{
-		Name: "sweep",
-		Pre: func(c *core.Ctx) error {
-			p := c.Pool()
-			for i := uint64(0); i < 64; i++ {
-				p.Store64(i*8, i)
-				p.Persist(i*8, 8)
-			}
-			return nil
-		},
-		Post: func(c *core.Ctx) error {
-			c.Pool().Load64(0)
-			return nil
-		},
-	}
-	for _, mib := range []int{1, 4, 16, 64} {
-		for _, ablate := range []bool{false, true} {
-			name := fmt.Sprintf("pool=%dMiB/incremental", mib)
-			if ablate {
-				name = fmt.Sprintf("pool=%dMiB/fullcopy", mib)
-			}
-			mib, ablate := mib, ablate
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_, err := core.Run(core.Config{
-						PoolSize:                    uint64(mib) << 20,
-						DisableIncrementalSnapshots: ablate,
-					}, target)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationShadow compares detection per Table 4 workload with the
-// sparse paged shadow PM and its range-batched transitions (default)
-// against the dense flat-array representation with per-byte transitions
-// (DenseShadow, the previous design), reporting the peak shadow footprint
-// of each.
-func BenchmarkAblationShadow(b *testing.B) {
-	for _, w := range bench.Table4() {
-		w := w
-		for _, ablate := range []bool{false, true} {
-			name, ablate := "Sparse", ablate
-			if ablate {
-				name = "Dense"
-			}
-			b.Run(w.Name+"/"+name, func(b *testing.B) {
-				var peak float64
-				for i := 0; i < b.N; i++ {
-					res, err := core.Run(core.Config{
-						PoolSize:    bench.DefaultPoolSize,
-						DenseShadow: ablate,
-					}, w.Target(bench.Fig12Config))
-					if err != nil {
-						b.Fatal(err)
-					}
-					peak += float64(res.ShadowPeakBytes)
-				}
-				b.ReportMetric(peak/float64(b.N), "shadow-peak-B/op")
-			})
-		}
 	}
 }
 
@@ -492,14 +367,14 @@ func BenchmarkRecordedFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkShadowPoolSweep sweeps the pool size under a fixed small
-// working set. The shadow representation is what separates the two
-// schemes: the sparse paged shadow allocates per-byte metadata only for
-// touched 4 KiB slabs (near-flat in the pool size), the dense arrays are
-// sized to the whole pool (linear — 30 bytes of metadata per pool byte).
-func BenchmarkShadowPoolSweep(b *testing.B) {
+// BenchmarkPoolSweep sweeps the pool size under a fixed small working set.
+// The per-failure-point costs must stay near-flat in the pool size:
+// incremental snapshots copy only the pages dirtied since the previous
+// failure point, and the paged shadow allocates per-byte metadata only for
+// the 4 KiB slabs the execution touches.
+func BenchmarkPoolSweep(b *testing.B) {
 	target := core.Target{
-		Name: "shadow-sweep",
+		Name: "sweep",
 		Pre: func(c *core.Ctx) error {
 			p := c.Pool()
 			for i := uint64(0); i < 64; i++ {
@@ -514,30 +389,20 @@ func BenchmarkShadowPoolSweep(b *testing.B) {
 		},
 	}
 	for _, mib := range []int{1, 4, 16, 64} {
-		for _, ablate := range []bool{false, true} {
-			name := fmt.Sprintf("pool=%dMiB/sparse", mib)
-			if ablate {
-				name = fmt.Sprintf("pool=%dMiB/dense", mib)
-			}
-			mib, ablate := mib, ablate
-			b.Run(name, func(b *testing.B) {
-				var peak, pages float64
-				for i := 0; i < b.N; i++ {
-					res, err := core.Run(core.Config{
-						PoolSize:    uint64(mib) << 20,
-						DenseShadow: ablate,
-					}, target)
-					if err != nil {
-						b.Fatal(err)
-					}
-					peak += float64(res.ShadowPeakBytes)
-					pages += float64(res.ShadowPages)
+		b.Run(fmt.Sprintf("pool=%dMiB", mib), func(b *testing.B) {
+			var peak, pages float64
+			for i := 0; i < b.N; i++ {
+				res, err := core.Run(core.Config{PoolSize: uint64(mib) << 20}, target)
+				if err != nil {
+					b.Fatal(err)
 				}
-				n := float64(b.N)
-				b.ReportMetric(peak/n, "shadow-peak-B/op")
-				b.ReportMetric(pages/n, "shadow-pages/op")
-			})
-		}
+				peak += float64(res.ShadowPeakBytes)
+				pages += float64(res.ShadowPages)
+			}
+			n := float64(b.N)
+			b.ReportMetric(peak/n, "shadow-peak-B/op")
+			b.ReportMetric(pages/n, "shadow-pages/op")
+		})
 	}
 }
 

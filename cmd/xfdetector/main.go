@@ -86,8 +86,6 @@ func realMain(args []string) int {
 		poolMB       = fs.Int("pool-mb", 4, "PM pool size in MiB")
 		workers      = fs.Int("workers", 1, "post-failure worker goroutines (>1 enables parallel detection)")
 		postTimeout  = fs.Duration("post-timeout", 0, "wall-clock deadline per post-failure run (0 = none)")
-		fullCopy     = fs.Bool("full-copy-snapshots", false, "copy the full PM image at every failure point instead of incremental dirty-page snapshots (ablation)")
-		denseShadow  = fs.Bool("dense-shadow", false, "use flat per-byte shadow arrays sized to the pool instead of the sparse paged shadow PM (ablation)")
 		noPrune      = fs.Bool("no-prune", false, "run every failure point instead of testing one representative per crash-state class (ablation; the report-key set is identical either way)")
 		vcachePath   = fs.String("verdict-cache", "", "consult and extend this fsynced on-disk crash-state verdict cache, keyed by (program/config identity, fingerprint): failure points whose class a previous campaign of the identical program resolved cleanly skip their post-runs (CacheHits). With -spawn it is the in-process daemon's cache, one file for every shard, keyed by the campaign's argument vector; -serve holds its own under -workdir")
 		noCrossShard = fs.Bool("no-cross-shard-prune", false, "ablation: daemon-scheduled shards run every class representative themselves instead of claiming classes against the campaign's cross-shard registry (the report-key set is identical either way)")
@@ -209,13 +207,11 @@ func realMain(args []string) int {
 	}
 
 	cfg := core.Config{
-		PoolSize:                    uint64(*poolMB) << 20,
-		MaxFailurePoints:            *maxFP,
-		Workers:                     *workers,
-		PostRunTimeout:              *postTimeout,
-		DisableIncrementalSnapshots: *fullCopy,
-		DenseShadow:                 *denseShadow,
-		DisablePruning:              *noPrune,
+		PoolSize:         uint64(*poolMB) << 20,
+		MaxFailurePoints: *maxFP,
+		Workers:          *workers,
+		PostRunTimeout:   *postTimeout,
+		DisablePruning:   *noPrune,
 	}
 	// Deterministic disk-fault injection for the degradation smoke tests:
 	// XFDETECTOR_DISK_FAULT=disk-full:N | short-msync:N | torn-mmap:N arms
@@ -260,8 +256,6 @@ func realMain(args []string) int {
 			return errorf("-record runs no post-failure executions; drop -checkpoint/-resume")
 		case *poolFile != "":
 			return errorf("-record needs a memory-backed pool (the artifact replaces the durable image); drop -pool-file")
-		case *denseShadow:
-			return errorf("-record needs the sparse shadow (engine checkpoints have no dense form); drop -dense-shadow")
 		case *vcachePath != "":
 			return errorf("-record runs no post-failure executions; drop -verdict-cache")
 		}

@@ -59,7 +59,8 @@ func table4Cases(t *testing.T) []table4Case {
 // a Workers>1 run must produce exactly the sequential run's report-key
 // set, failure-point count, post-run count and benign byte count. Where a
 // bug is seeded, the expected class must actually be detected, so the
-// equivalence is established on non-trivial report sets.
+// equivalence is established on non-trivial report sets. The sequential
+// run must also account its shadow footprint.
 func TestParallelEquivalenceAcrossTable4(t *testing.T) {
 	for _, tt := range table4Cases(t) {
 		tt := tt
@@ -74,6 +75,10 @@ func TestParallelEquivalenceAcrossTable4(t *testing.T) {
 			}
 			if !tt.wantBug && !seq.Clean() {
 				t.Fatalf("expected a clean run:\n%s", seq)
+			}
+			if seq.ShadowPages == 0 || seq.ShadowPeakBytes == 0 {
+				t.Errorf("sequential run reported no shadow footprint (%d pages, %d peak bytes)",
+					seq.ShadowPages, seq.ShadowPeakBytes)
 			}
 			for _, workers := range []int{2, 4} {
 				par, err := core.Run(core.Config{PoolSize: DefaultPoolSize, Workers: workers}, tt.target())

@@ -59,9 +59,6 @@ type Config struct {
 	// MaxFailurePoints caps the number of injected failure points
 	// (0 = unlimited).
 	MaxFailurePoints int
-	// DisableIPCapture turns off source-location capture; reports then
-	// lack file:line information but tracing is cheaper.
-	DisableIPCapture bool
 	// KeepTrace retains the pre-failure trace in the Result (required by
 	// the baseline pre-failure-only checkers).
 	KeepTrace bool
@@ -69,20 +66,9 @@ type Config struct {
 	DisablePerfBugs bool
 	// DisableFailurePointElision turns off the §5.4 optimization that
 	// skips failure points between ordering points with no PM operations
-	// in between. For ablation measurements.
+	// in between. For ablation measurements and the differential fuzzer's
+	// no-elision configuration, which checks it against the oracle.
 	DisableFailurePointElision bool
-	// DisableIncrementalSnapshots turns off delta snapshots and
-	// copy-on-write post-failure pools: every failure point then performs
-	// the original two full O(PoolSize) image copies. For ablation
-	// measurements; the report set is identical either way.
-	DisableIncrementalSnapshots bool
-	// DenseShadow switches the detection backend to the dense
-	// representation: full-pool-size per-byte shadow arrays, per-byte FSM
-	// transitions, and worker forks that deep-copy the whole table,
-	// instead of the sparse paged shadow with range-batched transitions
-	// and copy-on-write forks. For ablation measurements; the report set
-	// is identical either way.
-	DenseShadow bool
 	// DisablePruning turns off crash-state pruning. By default the detector
 	// fingerprints the shadow state at each failure point
 	// (shadow.CrashFingerprint), groups failure points whose crash states
@@ -171,9 +157,9 @@ type Config struct {
 	// the writer the trace position, the crash-state fingerprint, and the
 	// pool pages dirtied since the previous point; the writer checkpoints
 	// the serialized shadow periodically and Run finalizes the artifact.
-	// Requires ModeDetect, the sparse shadow, and a memory-backed pool; a
-	// cancelled or degraded recording fails with an error rather than
-	// producing a short artifact.
+	// Requires ModeDetect and a memory-backed pool; a cancelled or
+	// degraded recording fails with an error rather than producing a
+	// short artifact.
 	Record *record.Writer
 	// Replay, if set, runs the frontend from a recorded artifact instead
 	// of executing Target.Setup/Target.Pre: trace entries replay into the
@@ -263,9 +249,6 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 		if cfg.Mode != ModeDetect {
 			return nil, errors.New("core: recording requires detect mode")
 		}
-		if cfg.DenseShadow {
-			return nil, errors.New("core: recording requires the sparse shadow (dense shadow state has no checkpoint form)")
-		}
 		// A recording pass injects and numbers failure points exactly like
 		// a live campaign but dispatches nothing: the artifact stands in
 		// for the pre-failure execution of every future shard.
@@ -298,9 +281,8 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 		pool.Close()
 		return nil, errors.New("core: recording requires a memory-backed pool (the artifact replaces the durable image)")
 	}
-	r.pool.SetIncrementalSnapshots(!cfg.DisableIncrementalSnapshots)
 	r.pool.SetFaultHooks(cfg.FaultHooks)
-	r.pool.SetIPCapture(!cfg.DisableIPCapture && cfg.Mode != ModeOriginal)
+	r.pool.SetIPCapture(cfg.Mode != ModeOriginal)
 	if cfg.Mode != ModeOriginal {
 		if r.cfg.KeepTrace {
 			r.keptTrace = trace.New()
@@ -310,16 +292,12 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 	if cfg.Mode == ModeDetect {
 		// Workers check against COW forks of this one canonical shadow;
 		// parallel mode no longer needs the trace retained for replay.
-		if cfg.DenseShadow {
-			r.sh = shadow.NewDensePM(r.pool.Size())
-		} else {
-			r.sh = shadow.NewPM(r.pool.Size())
-			if r.pool.FileBacked() {
-				// File-backed campaigns run long and bulk-initialize large
-				// pools; once a page's lines persist the sparse shadow drops
-				// it for a shared singleton (shadow cold-page compaction).
-				r.sh.SetColdPageCompaction(true)
-			}
+		r.sh = shadow.NewPM(r.pool.Size())
+		if r.pool.FileBacked() {
+			// File-backed campaigns run long and bulk-initialize large
+			// pools; once a page's lines persist the shadow drops it for a
+			// shared singleton (shadow cold-page compaction).
+			r.sh.SetColdPageCompaction(true)
 		}
 		if !cfg.DisablePerfBugs {
 			r.sh.SetPerfBugHandler(r.onPerfBug)
@@ -861,19 +839,12 @@ func (r *runner) runAttempts(fpID int, attempt func() postOutcome) (postOutcome,
 }
 
 // newPostPool spawns the post-failure pool for one attempt: a copy-on-write
-// view over the shared snapshot normally, a full flat copy under the
-// ablation knob. A retried attempt calls it again, dropping the faulted
-// attempt's COW overlay.
+// view over the shared snapshot. A retried attempt calls it again, dropping
+// the faulted attempt's COW overlay.
 func (r *runner) newPostPool(snap *pmem.Snapshot) *pmem.Pool {
-	var post *pmem.Pool
-	if r.cfg.DisableIncrementalSnapshots {
-		post = pmem.FromImage(r.pool.Name()+"@post", snap.Bytes())
-	} else {
-		post = pmem.FromSnapshot(r.pool.Name()+"@post", snap)
-	}
+	post := pmem.FromSnapshot(r.pool.Name()+"@post", snap)
 	post.SetFaultHooks(r.cfg.FaultHooks)
 	post.SetStage(trace.PostFailure)
-	post.SetIPCapture(!r.cfg.DisableIPCapture)
 	return post
 }
 

@@ -26,17 +26,16 @@ func checkBuckets(t *testing.T, res *Result) {
 // TestFaultHooksPropagation pins the propagation contract documented on
 // pmem.SetFaultHooks: fault hooks armed on the campaign's root pool reach
 // every post-failure pool the frontend builds — the copy-on-write snapshot
-// views, the full-copy ablation pools, and the views checked by parallel
-// workers against shadow forks. A fault class arming only post-failure
-// stages must therefore quarantine every failure point, in every engine
-// mode, with exact accounting and zero false bug reports.
+// views of sequential runs and those parallel workers check against shadow
+// forks. A fault class arming only post-failure stages must therefore
+// quarantine every failure point, in every engine mode, with exact
+// accounting and zero false bug reports.
 func TestFaultHooksPropagation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"sequential-cow", Config{}},
-		{"sequential-full-copy", Config{DisableIncrementalSnapshots: true}},
 		{"parallel-forks", Config{Workers: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -127,11 +127,10 @@ func (r *runner) replayRecorded() error {
 // would have (owned-and-completed points resumed, the rest delegated), and
 // returns the checkpoint so the caller resumes the trace at its position.
 // Returns nil — full-trace replay, still sound — when no checkpoint
-// qualifies, when the trace must be retained whole (KeepTrace), when the
-// dense ablation shadow is in use (sparse state does not load into it), or
-// when the checkpoint fails to decode.
+// qualifies, when the trace must be retained whole (KeepTrace), or when the
+// checkpoint fails to decode.
 func (r *runner) replayJump(a *record.Artifact) *record.Checkpoint {
-	if r.cfg.KeepTrace || r.cfg.DenseShadow {
+	if r.cfg.KeepTrace {
 		return nil
 	}
 	startFP := len(a.FPs)

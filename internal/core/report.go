@@ -227,10 +227,8 @@ type Result struct {
 	// ShadowPeakBytes is the peak number of live shadow-PM bytes across
 	// the run — the canonical shadow plus every concurrently live worker
 	// fork — and ShadowPages is the cumulative number of 4 KiB shadow
-	// pages allocated (lazy allocations plus copy-on-write clones; zero
-	// under Config.DenseShadow, whose full-pool arrays appear only in the
-	// byte peak). Both are zero in trace-only and original modes, which
-	// build no shadow.
+	// pages allocated (lazy allocations plus copy-on-write clones). Both
+	// are zero in trace-only and original modes, which build no shadow.
 	ShadowPeakBytes uint64
 	ShadowPages     uint64
 	// PoolBackend names the backend the campaign's root pool used

@@ -69,14 +69,12 @@ func CheckSeed(seed int64, knob Knob) error {
 //   - ModeDetect sequential: full comparison (keys, failure points, post
 //     runs, benign bytes, trace-entry counts, post-read byte digests);
 //   - ModeDetect with Workers ∈ diffWorkers: same full comparison — the
-//     parallel engine promises the identical report set;
-//   - ModeDetect with incremental snapshots disabled: same full comparison
-//     — the delta-snapshot/copy-on-write optimization must be invisible,
-//     down to the exact bytes every post-failure load observes;
-//   - ModeDetect with the dense shadow representation: same full
-//     comparison — the sparse paged shadow with range-batched transitions
-//     must be indistinguishable from the per-byte dense reference,
-//     verdicts and post-read byte digests alike;
+//     parallel engine promises the identical report set. Every full
+//     comparison runs on the delta snapshots, copy-on-write post-failure
+//     pools and sparse paged shadow, so the oracle, which shares no logic
+//     with the shadow or the snapshot code, holds those optimizations to
+//     the exact verdicts and the exact bytes every post-failure load
+//     observes;
 //   - ModeDetect on a file-backed pool (linux only): same full comparison,
 //     plus the backing file must hold the byte-identical final image of
 //     the setup+pre stores — msync-granularity persistence must be
@@ -88,8 +86,8 @@ func CheckSeed(seed int64, knob Knob) error {
 //     every post-run): identical deduplicated key set, exact
 //     PostRuns + PrunedFailurePoints == FailurePoints accounting, every
 //     observed post-read byte digest predicted by the oracle, and
-//     identical pruning decisions across sequential, parallel,
-//     dense-shadow and file-backed (cold-page-compacted) runs;
+//     identical pruning decisions across sequential, parallel and
+//     file-backed (cold-page-compacted) runs;
 //   - ModeDetect as a three-shard fleet sharing a core.ClassRegistry
 //     (cross-shard verdict attribution): identical merged key set, exact
 //     per-shard bucket accounting, and exactly one post-run per global
@@ -143,14 +141,6 @@ func CheckProgram(p Program) error {
 			return err
 		}
 	}
-	if err := checkFull("no-incremental-snapshots", want,
-		core.Config{DisableIncrementalSnapshots: true, DisablePruning: true}); err != nil {
-		return err
-	}
-	if err := checkFull("dense-shadow", want,
-		core.Config{DenseShadow: true, DisablePruning: true}); err != nil {
-		return err
-	}
 	if fileBackedDiff {
 		if err := checkFileBacked(p, want); err != nil {
 			return err
@@ -175,9 +165,8 @@ func CheckProgram(p Program) error {
 	// Crash-state pruning (the default) skips failure points whose crash
 	// state a clean class representative already covered. Its soundness
 	// contract is the identical deduplicated key set; its determinism
-	// contract is that sequential, parallel and dense-shadow runs make the
-	// identical pruning decisions (the dense run doubles as a
-	// sparse-vs-dense fingerprint parity check).
+	// contract is that sequential, parallel and file-backed runs make the
+	// identical pruning decisions.
 	prunedCfgs := []struct {
 		name string
 		file bool // back the pool with a file (enables cold-page compaction)
@@ -185,7 +174,6 @@ func CheckProgram(p Program) error {
 	}{
 		{"pruned", false, core.Config{}},
 		{"pruned-workers=2", false, core.Config{Workers: 2}},
-		{"pruned-dense", false, core.Config{DenseShadow: true}},
 		{"pruned-file", true, core.Config{}},
 	}
 	var prunedResults []*core.Result

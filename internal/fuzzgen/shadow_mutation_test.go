@@ -10,14 +10,14 @@ import (
 	"github.com/pmemgo/xfdetector/internal/shadow"
 )
 
-// shadowMutants are the deliberate bugs seeded into the sparse shadow
-// representation: a fence fast path that treats every pending cache line as
-// uniformly WritebackPending (spuriously persisting bytes re-modified after
-// the writeback — the range-batching soundness hazard), and a writablePage
+// shadowMutants are the deliberate bugs seeded into the paged shadow: a
+// fence fast path that treats every pending cache line as uniformly
+// WritebackPending (spuriously persisting bytes re-modified after the
+// writeback — the range-batching soundness hazard), and a writablePage
 // that skips copy-on-write privatization (worker forks observe shadow state
 // from after their failure point — the fork-isolation soundness hazard).
-// The dense ablation path shares neither mechanism, so only the sparse
-// engine configurations can diverge.
+// The oracle shares neither mechanism, so every divergence it flags is the
+// mutant's.
 var shadowMutants = []struct {
 	name string
 	set  func(bool)
@@ -40,7 +40,7 @@ var shadowMutants = []struct {
 var shadowMutationKnobs = []Knob{KnobDroppedFence, KnobMixed}
 
 // TestShadowMutationCaught proves the differential suite would notice a
-// regression in the sparse shadow's range batching or fork privatization.
+// regression in the shadow's range batching or fork privatization.
 // Must not run in parallel with other tests: the mutation switches are
 // package-level toggles in internal/shadow.
 func TestShadowMutationCaught(t *testing.T) {

@@ -144,7 +144,6 @@ func NewFileBacked(name, path string, size int, resume bool, hooks *FaultHooks) 
 		name:      name,
 		size:      sz,
 		buf:       buf,
-		incSnap:   true,
 		dirty:     make([]uint64, (numPages(sz)+63)/64),
 		ipEnabled: true,
 		faults:    hooks,

@@ -5,10 +5,11 @@ package pmem
 // The incremental-snapshot and copy-on-write machinery (snapshot.go) must be
 // invisible to detection: the paper's correctness argument assumes every
 // post-failure execution starts from the exact PM image at the failure
-// point (footnote 3). The differential fuzzer and the workload equivalence
-// tables validate that with the optimization on vs. off — and, to prove
-// those suites can actually catch a snapshot-soundness regression rather
-// than co-evolving with it, the mutation tests flip these switches:
+// point (footnote 3). The differential fuzzer validates that against the
+// brute-force oracle's crash images, and the Table 4 mutation tests against
+// the default run's report keys — and, to prove those suites can actually
+// catch a snapshot-soundness regression rather than co-evolving with it,
+// the mutation tests flip these switches:
 //
 //   - staleDirtyForTest stops the store paths from marking dirty pages, so
 //     an incremental snapshot silently reuses stale base pages: the classic

@@ -81,20 +81,19 @@ type Pool struct {
 	size uint64
 
 	// Exactly one backing representation is set. Root pools (New,
-	// FromImage) use the flat buf plus the incremental-snapshot state
-	// below; post-failure pools built by FromSnapshot are copy-on-write
-	// views using pages/owned (snapshot.go).
+	// FromImage, NewFileBacked) use the flat buf plus the
+	// incremental-snapshot state below; post-failure pools built by
+	// FromSnapshot are copy-on-write views using pages/owned (snapshot.go).
 	buf   []byte
 	pages [][]byte
 	owned []bool
 
 	mu sync.Mutex
-	// Incremental-snapshot state (root pools; see snapshot.go): incSnap
-	// gates delta snapshots, dirty is the page-granularity bitmap of
-	// writes since base, base is the previous snapshot.
-	incSnap bool
-	dirty   []uint64
-	base    *Snapshot
+	// Incremental-snapshot state (root pools; see snapshot.go): dirty is
+	// the page-granularity bitmap of writes since base, base is the
+	// previous snapshot.
+	dirty []uint64
+	base  *Snapshot
 	// file is the durable half of a file-backed root pool (file.go); nil
 	// for in-memory pools and COW views. Set once at construction — the
 	// nil check needs no lock — with all field mutation under mu.
@@ -121,16 +120,14 @@ func New(name string, size int) *Pool {
 		name:      name,
 		size:      sz,
 		buf:       make([]byte, sz),
-		incSnap:   true,
 		dirty:     make([]uint64, (numPages(sz)+63)/64),
 		ipEnabled: true,
 	}
 }
 
-// FromImage creates a pool backed by a full copy of img. The ablation
-// configuration (incremental snapshots disabled) uses it to spawn
-// post-failure executions the original O(PoolSize) way; FromSnapshot is the
-// copy-on-write fast path.
+// FromImage creates a root pool backed by a full copy of img, for callers
+// that hold a flat image (tests that crash a pool by hand). The detection
+// frontend spawns post-failure executions with FromSnapshot instead.
 func FromImage(name string, img []byte) *Pool {
 	buf := make([]byte, len(img))
 	copy(buf, img)
@@ -139,7 +136,6 @@ func FromImage(name string, img []byte) *Pool {
 		name:      name,
 		size:      sz,
 		buf:       buf,
-		incSnap:   true,
 		dirty:     make([]uint64, (numPages(sz)+63)/64),
 		ipEnabled: true,
 	}

@@ -92,21 +92,9 @@ func FromSnapshot(name string, s *Snapshot) *Pool {
 	}
 }
 
-// SetIncrementalSnapshots toggles delta snapshots on a root pool (on by
-// default). When disabled — the ablation configuration — TakeSnapshot
-// clones every page and maintains no base, reproducing the original
-// full-copy-per-failure-point behavior.
-func (p *Pool) SetIncrementalSnapshots(on bool) {
-	p.mu.Lock()
-	p.incSnap = on
-	p.base = nil
-	p.mu.Unlock()
-}
-
 // TakeSnapshot copies the full PM image, including non-persisted updates.
-// On a root pool with incremental snapshots enabled the copy is
-// O(bytes dirtied since the previous TakeSnapshot): clean pages are shared
-// with the previous snapshot.
+// On a root pool the copy is O(bytes dirtied since the previous
+// TakeSnapshot): clean pages are shared with the previous snapshot.
 func (p *Pool) TakeSnapshot() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -129,26 +117,17 @@ func (p *Pool) snapshotLocked() *Snapshot {
 		}
 		return s
 	}
-	if p.incSnap && p.base != nil {
+	if p.base != nil {
 		copy(s.pages, p.base.pages)
-		for pg := 0; pg < n; pg++ {
-			if p.dirty[pg/64]&(1<<(pg%64)) != 0 {
-				lo, hi := pageBounds(pg, p.size)
-				s.pages[pg] = clonePage(p.buf[lo:hi])
-			}
-		}
-	} else {
-		for pg := 0; pg < n; pg++ {
+	}
+	for pg := 0; pg < n; pg++ {
+		if p.base == nil || p.dirty[pg/64]&(1<<(pg%64)) != 0 {
 			lo, hi := pageBounds(pg, p.size)
 			s.pages[pg] = clonePage(p.buf[lo:hi])
 		}
 	}
-	if p.incSnap {
-		p.base = s
-		for i := range p.dirty {
-			p.dirty[i] = 0
-		}
-	}
+	p.base = s
+	clear(p.dirty)
 	return s
 }
 

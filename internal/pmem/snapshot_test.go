@@ -56,22 +56,6 @@ func TestSnapshotImmutableAfterRootWrites(t *testing.T) {
 	}
 }
 
-func TestSnapshotAblationKnob(t *testing.T) {
-	p := New("ablation", 2*PageSize)
-	p.SetIncrementalSnapshots(false)
-	p.Store64(0, 1)
-	s1 := p.TakeSnapshot()
-	s2 := p.TakeSnapshot() // nothing dirtied in between
-	for pg := 0; pg < 2; pg++ {
-		if pageBase(s1, pg) == pageBase(s2, pg) {
-			t.Fatalf("ablation snapshot shared page %d with its predecessor", pg)
-		}
-	}
-	if !bytes.Equal(s1.Bytes(), s2.Bytes()) {
-		t.Fatal("ablation snapshots differ in content")
-	}
-}
-
 func TestFromSnapshotCopyOnWrite(t *testing.T) {
 	p := New("root", 4*PageSize)
 	p.Store64(8, 0x11)

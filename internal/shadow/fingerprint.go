@@ -24,17 +24,14 @@ package shadow
 // The fingerprint has a fixed three-level structure: a 64-byte line hashes
 // its 64 byte symbols, a 4 KiB page hashes its 64 line hashes, and the
 // fingerprint folds the hashes of the non-empty pages, tagged with their
-// slot index, followed by the commit-variable geometry. The sparse
-// representation caches one hash per line (page.lineHash, with one valid
-// bit per line in page.lineValid) and the page hash while every line is
-// valid. Each mutation path clears the bits of exactly the lines it
-// touches — stores, flushes, fences, TX_ADD, transaction end, and
-// commit-record updates — so a failure point re-hashes only the lines
-// dirtied since the previous one plus one 64-word fold per dirtied page,
-// and it visits only allocated page slots (PM.slots), never the whole
-// pool. The dense ablation representation recomputes the same line and
-// page structure from its flat arrays with the same symbols, so sparse and
-// dense shadows produce identical fingerprints. Commit-variable geometry
+// slot index, followed by the commit-variable geometry. Each page caches
+// one hash per line (page.lineHash, with one valid bit per line in
+// page.lineValid) and the page hash while every line is valid. Each
+// mutation path clears the bits of exactly the lines it touches — stores,
+// flushes, fences, TX_ADD, transaction end, and commit-record updates — so
+// a failure point re-hashes only the lines dirtied since the previous one
+// plus one 64-word fold per dirtied page, and it visits only allocated
+// page slots (PM.slots), never the whole pool. Commit-variable geometry
 // (which addresses are commit variables or associated with one) is folded
 // into the final fingerprint directly; registrations additionally
 // invalidate the lines their ranges overlap, since the per-byte symbols
@@ -62,8 +59,8 @@ const allLines = ^uint64(0)
 
 // emptyPageHash is the hash of a page whose every byte has the zero symbol
 // (writeEpoch 0). Pages hashing to it contribute nothing to a fingerprint,
-// exactly like never-allocated pages, keeping sparse and dense fingerprints
-// identical.
+// exactly like never-allocated pages, so a fingerprint depends on how bytes
+// classify and not on which pages happen to be allocated.
 var emptyPageHash = func() uint64 {
 	var lines [pageLines]uint64
 	for l := range lines {
@@ -120,22 +117,17 @@ func (s *PM) fpSymbol(b uint64, st PersistState, we uint32, pe uint32, txSafe bo
 	return 6<<32 | uint64(w)
 }
 
-// lineHash folds the symbols of the line starting at address base. The
-// metadata slices hold its first n <= lineBytes bytes; the rest lie past
-// the pool and fold the zero symbol, matching a sparse page's never-written
-// tail.
+// lineHash folds the symbols of the line starting at address base, whose
+// metadata the slices hold.
 func (s *PM) lineHash(base uint64, st []PersistState, we, pe []uint32, txSafe []bool, w []uint32) uint64 {
 	h := uint64(fnvOffset)
 	for i := range st {
 		h = fnvMix(h, s.fpSymbol(base+uint64(i), st[i], we[i], pe[i], txSafe[i], w[i]))
 	}
-	for i := len(st); i < lineBytes; i++ {
-		h = fnvMix(h, 0)
-	}
 	return h
 }
 
-// pageHash returns the hash of one sparse page. It re-hashes only the
+// pageHash returns the hash of one page. It re-hashes only the
 // lines whose cached hash a mutation invalidated, and re-folds the page
 // only when some line was.
 func (s *PM) pageHash(pi int, pg *page) uint64 {
@@ -154,21 +146,6 @@ func (s *PM) pageHash(pi int, pg *page) uint64 {
 	return pg.fpHash
 }
 
-// denseChunkHash hashes one 4 KiB chunk of the dense arrays with the
-// sparse page's line structure.
-func (s *PM) denseChunkHash(pi int) uint64 {
-	d := s.d
-	var lines [pageLines]uint64
-	for l := range lines {
-		lo := uint64(pi)<<pageShift + uint64(l)<<lineShift
-		hi := min(lo+lineBytes, s.size)
-		lo = min(lo, hi) // a line wholly past the pool folds only zeros
-		lines[l] = s.lineHash(lo, d.state[lo:hi], d.writeEpoch[lo:hi], d.persistEpoch[lo:hi],
-			d.txSafe[lo:hi], d.writerIdx[lo:hi])
-	}
-	return foldLines(&lines)
-}
-
 // CrashFingerprint returns the canonical crash-state fingerprint of the
 // shadow's current trace position: a hash over the classification symbols
 // of every touched page plus the commit-variable geometry. Equal
@@ -180,16 +157,10 @@ func (s *PM) CrashFingerprint() uint64 {
 		panic("shadow: CrashFingerprint on a fork")
 	}
 	h := uint64(fnvOffset)
-	if s.dense {
-		for pi := 0; pi < numPages(s.size); pi++ {
-			h = foldPage(h, pi, s.denseChunkHash(pi))
-		}
-	} else {
-		for wi, word := range s.slots {
-			for ; word != 0; word &= word - 1 {
-				pi := wi<<6 | bits.TrailingZeros64(word)
-				h = foldPage(h, pi, s.pageHash(pi, s.pages[pi]))
-			}
+	for wi, word := range s.slots {
+		for ; word != 0; word &= word - 1 {
+			pi := wi<<6 | bits.TrailingZeros64(word)
+			h = foldPage(h, pi, s.pageHash(pi, s.pages[pi]))
 		}
 	}
 	// Commit-variable geometry: registering a variable or an associated
@@ -244,9 +215,9 @@ func (pg *page) invalidateLines(lo, hi int) {
 // [addr, addr+size): used when commit-variable geometry or a commit write
 // record changes, which flips the symbols of bytes in the range without
 // any page mutation. Pages never allocated need no invalidation (nothing
-// cached); the dense representation and forks cache nothing.
+// cached); forks cache nothing.
 func (s *PM) invalidateRangeFP(addr, size uint64) {
-	if s.dense || s.forked {
+	if s.forked {
 		return
 	}
 	addr, end := s.clip(addr, size)

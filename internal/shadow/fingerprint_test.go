@@ -11,13 +11,8 @@ import (
 // straddle page boundaries and the pool's tail line is short of a page.
 const fpTestPool = 3*pageBytes + 192
 
-// byteMeta reads one byte's fingerprint inputs straight from whichever
-// representation s uses.
+// byteMeta reads one byte's fingerprint inputs straight from its page.
 func byteMeta(s *PM, b uint64) (PersistState, uint32, uint32, bool, uint32) {
-	if s.dense {
-		d := s.d
-		return d.state[b], d.writeEpoch[b], d.persistEpoch[b], d.txSafe[b], d.writerIdx[b]
-	}
 	pg := s.pages[b>>pageShift]
 	if pg == nil {
 		return Unmodified, 0, 0, false, 0
@@ -79,17 +74,16 @@ type liveFork struct {
 	step int
 }
 
-// checkFingerprintCache replays one random sequence into a sparse shadow
-// and a dense one and, at every step, requires the sparse shadow's cached
-// CrashFingerprint to equal a from-scratch recompute, and the dense
-// fingerprint to equal both. Along the way it forks the sparse shadow and
-// keeps the forks live — so later mutations privatize shared pages — and
-// requires every fork to stay frozen at its capture; and it periodically
-// swaps the sparse shadow for its ReadState restoration, which must
-// fingerprint identically and then carries on as the canonical shadow.
+// checkFingerprintCache replays one random sequence into a shadow and, at
+// every step, requires its cached CrashFingerprint to equal a from-scratch
+// recompute. Along the way it forks the shadow and keeps the forks live —
+// so later mutations privatize shared pages — and requires every fork to
+// stay frozen at its capture; and it periodically swaps the shadow for its
+// ReadState restoration, which must fingerprint identically and then
+// carries on as the canonical shadow.
 func checkFingerprintCache(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	sp, de := NewPM(fpTestPool), NewDensePM(fpTestPool)
+	s := NewPM(fpTestPool)
 	var forks []liveFork
 	release := func(f liveFork) error {
 		defer f.pm.Release()
@@ -99,18 +93,14 @@ func checkFingerprintCache(seed int64) error {
 		return nil
 	}
 	for step, e := range randomEntries(rng, 120, fpTestPool) {
-		sp.Apply(e)
-		de.Apply(e)
-		want := refFingerprint(sp)
-		if got := sp.CrashFingerprint(); got != want {
+		s.Apply(e)
+		want := refFingerprint(s)
+		if got := s.CrashFingerprint(); got != want {
 			return fmt.Errorf("step %d (%v @%d+%d): cached fingerprint %016x, recompute %016x", step, e.Kind, e.Addr, e.Size, got, want)
-		}
-		if got := de.CrashFingerprint(); got != want {
-			return fmt.Errorf("step %d (%v): dense fingerprint %016x, sparse %016x", step, e.Kind, got, want)
 		}
 		switch rng.Intn(8) {
 		case 0:
-			forks = append(forks, liveFork{pm: sp.Fork(), want: want, step: step})
+			forks = append(forks, liveFork{pm: s.Fork(), want: want, step: step})
 		case 1:
 			if len(forks) > 0 {
 				i := rng.Intn(len(forks))
@@ -121,7 +111,7 @@ func checkFingerprintCache(seed int64) error {
 			}
 		case 2:
 			var buf bytes.Buffer
-			if err := sp.WriteState(&buf); err != nil {
+			if err := s.WriteState(&buf); err != nil {
 				return err
 			}
 			restored, err := ReadState(&buf)
@@ -131,7 +121,7 @@ func checkFingerprintCache(seed int64) error {
 			if got := restored.CrashFingerprint(); got != want {
 				return fmt.Errorf("step %d: restored shadow fingerprints %016x, want %016x", step, got, want)
 			}
-			sp = restored
+			s = restored
 		}
 	}
 	for _, f := range forks {
@@ -143,7 +133,7 @@ func checkFingerprintCache(seed int64) error {
 }
 
 // TestFingerprintCacheMatchesRecompute is the line cache's soundness
-// property over sparse, dense, forked and restored shadows; the seeded
+// property over live, forked and restored shadows; the seeded
 // stale-fingerprint mutants prove the property has teeth.
 func TestFingerprintCacheMatchesRecompute(t *testing.T) {
 	seeds := int64(16)

@@ -161,54 +161,28 @@ func TestForkStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestDenseForkIsDeepCopy: the ablation representation forks by copying
-// the whole table, and Release returns its accounted footprint.
-func TestDenseForkIsDeepCopy(t *testing.T) {
-	s := NewDensePM(1 << 14)
-	apply(s, trace.Write, 0, 8)
-	f := s.Fork()
-	apply(s, trace.CLWB, 0, 8)
-	apply(s, trace.SFence, 0, 0)
-	if got := f.State(0); got != Modified {
-		t.Fatalf("dense fork state = %v, want M", got)
-	}
-	liveForked := s.stats.live.Load()
-	if want := 2 * denseFootprint(s.Size()); liveForked != want {
-		t.Fatalf("live bytes with dense fork = %d, want %d", liveForked, want)
-	}
-	f.Release()
-	if live := s.stats.live.Load(); live != denseFootprint(s.Size()) {
-		t.Fatalf("live bytes after release = %d, want %d", live, denseFootprint(s.Size()))
-	}
-	if peak, _ := s.MemStats(); peak != uint64(liveForked) {
-		t.Fatalf("peak = %d, want %d", peak, liveForked)
-	}
-}
-
 // TestMixedStateLineFencePath pins the semantics the lost-range-batch
 // mutant breaks: a line flushed whole (full fast path) and then partially
 // re-modified must keep its Modified bytes unpersisted across the fence.
 func TestMixedStateLineFencePath(t *testing.T) {
-	for _, mk := range []func(uint64) *PM{NewPM, NewDensePM} {
-		s := mk(4096)
-		apply(s, trace.Write, 0, 64) // whole line
-		apply(s, trace.CLWB, 0, 64)  // uniformly WritebackPending
-		apply(s, trace.Write, 8, 8)  // re-modify: line is now mixed W/M
-		apply(s, trace.SFence, 0, 0)
-		if got := s.State(0); got != Persisted {
-			t.Errorf("dense=%v: state(0) = %v, want P", s.Dense(), got)
-		}
-		if got := s.State(8); got != Modified {
-			t.Errorf("dense=%v: state(8) = %v, want M (not covered by the fence)", s.Dense(), got)
-		}
-		if got := s.State(16); got != Persisted {
-			t.Errorf("dense=%v: state(16) = %v, want P", s.Dense(), got)
-		}
+	s := NewPM(4096)
+	apply(s, trace.Write, 0, 64) // whole line
+	apply(s, trace.CLWB, 0, 64)  // uniformly WritebackPending
+	apply(s, trace.Write, 8, 8)  // re-modify: line is now mixed W/M
+	apply(s, trace.SFence, 0, 0)
+	if got := s.State(0); got != Persisted {
+		t.Errorf("state(0) = %v, want P", got)
+	}
+	if got := s.State(8); got != Modified {
+		t.Errorf("state(8) = %v, want M (not covered by the fence)", got)
+	}
+	if got := s.State(16); got != Persisted {
+		t.Errorf("state(16) = %v, want P", got)
 	}
 }
 
 // TestLostRangeBatchMutantFlipsMixedLine: with the mutation switch on, the
-// sparse fence mis-persists the re-modified bytes — the observable defect
+// fence mis-persists the re-modified bytes — the observable defect
 // the differential suites must catch.
 func TestLostRangeBatchMutantFlipsMixedLine(t *testing.T) {
 	SetLostRangeBatchForTest(true)
@@ -300,45 +274,4 @@ func randomEntries(rng *rand.Rand, n int, poolSize uint64) []trace.Entry {
 		out = append(out, trace.Entry{Kind: trace.TxCommit})
 	}
 	return out
-}
-
-// TestSparseDenseEquivalence replays random workloads into both
-// representations and requires byte-identical metadata and post-check
-// classifications — the in-package analogue of the fuzzer's dense-shadow
-// differential config.
-func TestSparseDenseEquivalence(t *testing.T) {
-	const poolSize = 3*pageBytes + 128 // deliberately not page-aligned
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		sp, de := NewPM(poolSize), NewDensePM(poolSize)
-		for _, e := range randomEntries(rng, 400, poolSize) {
-			sp.Apply(e)
-			de.Apply(e)
-		}
-		for b := uint64(0); b < poolSize; b++ {
-			if sp.State(b) != de.State(b) || sp.WriteEpoch(b) != de.WriteEpoch(b) ||
-				sp.PersistEpoch(b) != de.PersistEpoch(b) || sp.TxProtected(b) != de.TxProtected(b) ||
-				sp.WriterIP(b) != de.WriterIP(b) {
-				t.Fatalf("seed %d: byte %d diverges: sparse (%v e%d p%d tx%v %q) dense (%v e%d p%d tx%v %q)",
-					seed, b,
-					sp.State(b), sp.WriteEpoch(b), sp.PersistEpoch(b), sp.TxProtected(b), sp.WriterIP(b),
-					de.State(b), de.WriteEpoch(b), de.PersistEpoch(b), de.TxProtected(b), de.WriterIP(b))
-			}
-		}
-		cs, cd := sp.BeginPostCheck(), de.BeginPostCheck()
-		for off := uint64(0); off < poolSize; off += 64 {
-			fs, fd := cs.OnRead(off, 64), cd.OnRead(off, 64)
-			if len(fs) != len(fd) {
-				t.Fatalf("seed %d read@%d: %d sparse vs %d dense findings", seed, off, len(fs), len(fd))
-			}
-			for i := range fs {
-				if fs[i] != fd[i] {
-					t.Fatalf("seed %d read@%d: finding %d: %+v vs %+v", seed, off, i, fs[i], fd[i])
-				}
-			}
-		}
-		if cs.Benign != cd.Benign {
-			t.Fatalf("seed %d: benign %d sparse vs %d dense", seed, cs.Benign, cd.Benign)
-		}
-	}
 }

@@ -2,7 +2,7 @@ package shadow
 
 // Sparse paged shadow representation.
 //
-// The default shadow PM stores its per-byte metadata in lazily allocated
+// The shadow PM stores its per-byte metadata in lazily allocated
 // 4 KiB pages (struct-of-arrays per page), so shadow memory is proportional
 // to the bytes the traced execution actually touches, not to the pool size
 // — the standard sanitizer shadow-memory layout. A page that was never
@@ -85,12 +85,6 @@ type page struct {
 // pageFootprint is the accounted size of one shadow page.
 const pageFootprint = int64(unsafe.Sizeof(page{}))
 
-// denseBytesPerByte is the dense representation's shadow cost per pool
-// byte: one PersistState + bool and seven uint32 arrays.
-const denseBytesPerByte = 30
-
-func denseFootprint(size uint64) int64 { return int64(size) * denseBytesPerByte }
-
 func numPages(size uint64) int { return int((size + pageBytes - 1) >> pageShift) }
 
 // Stats aggregates shadow memory accounting for one detection run. The
@@ -117,8 +111,7 @@ func (st *Stats) shrink(n int64) { st.live.Add(-n) }
 // MemStats reports the peak number of live shadow bytes over the run —
 // canonical shadow plus all concurrently live forks — and the cumulative
 // number of 4 KiB shadow pages allocated (lazy allocations plus
-// copy-on-write clones; zero in dense mode, whose whole-pool arrays are
-// accounted in the byte peak instead).
+// copy-on-write clones).
 func (s *PM) MemStats() (peakBytes, pagesAllocated uint64) {
 	return uint64(s.stats.peak.Load()), uint64(s.stats.pages.Load())
 }
@@ -222,7 +215,6 @@ func pageSpan(b, end uint64) (pi, lo, hi int, next uint64) {
 func (s *PM) Fork() *PM {
 	f := &PM{
 		size:    s.size,
-		dense:   s.dense,
 		forked:  true,
 		clock:   s.clock,
 		txDepth: s.txDepth,
@@ -238,11 +230,6 @@ func (s *PM) Fork() *PM {
 		c := *cv
 		f.commitVars[i] = &c
 	}
-	if s.dense {
-		f.d = s.d.clone()
-		s.stats.grow(denseFootprint(s.size))
-		return f
-	}
 	f.pages = make([]*page, len(s.pages))
 	copy(f.pages, s.pages)
 	for _, pg := range f.pages {
@@ -253,17 +240,10 @@ func (s *PM) Fork() *PM {
 	return f
 }
 
-// Release returns a fork's shadow pages (or its dense copy) to the
-// accounting; pages whose last reference this was stop counting toward
-// live shadow bytes. The fork must not be used afterwards.
+// Release returns a fork's shadow pages to the accounting; pages whose
+// last reference this was stop counting toward live shadow bytes. The fork
+// must not be used afterwards.
 func (s *PM) Release() {
-	if s.dense {
-		if s.d != nil {
-			s.d = nil
-			s.stats.shrink(denseFootprint(s.size))
-		}
-		return
-	}
 	for i, pg := range s.pages {
 		if pg != nil {
 			s.dropPageRef(pg)

@@ -20,9 +20,7 @@
 // The metadata lives in lazily allocated 4 KiB shadow pages (page.go), so
 // memory is proportional to the bytes the execution touches rather than to
 // the pool size, and the hot FSM transitions fast-path uniform cache lines
-// and pages with range fills instead of per-byte loops. The previous dense
-// full-pool representation is preserved (dense.go, NewDensePM) as an
-// ablation knob and differential-testing reference. Parallel detection
+// and pages with range fills instead of per-byte loops. Parallel detection
 // captures copy-on-write forks of the shadow per failure point (Fork in
 // page.go).
 //
@@ -103,22 +101,19 @@ type PerfBug struct {
 
 // PM is the shadow persistent memory for one pool.
 type PM struct {
-	size  uint64
-	dense bool
+	size uint64
 	// forked marks a copy-on-write fork (Fork): it shares pages whose
 	// fingerprint caches belong to the canonical shadow, so it neither
 	// reads nor maintains them.
 	forked bool
 
-	// pages is the sparse (default) representation: lazily allocated
-	// 4 KiB shadow pages, nil where the pool was never touched (all bytes
-	// Unmodified, writeEpoch 0). See page.go. slots is the bitmap of the
-	// non-nil entries, in ascending slot order (setPage); a fork leaves it
-	// nil, since it never allocates a page or computes a fingerprint.
+	// pages holds the lazily allocated 4 KiB shadow pages, nil where the
+	// pool was never touched (all bytes Unmodified, writeEpoch 0). See
+	// page.go. slots is the bitmap of the non-nil entries, in ascending
+	// slot order (setPage); a fork leaves it nil, since it never allocates
+	// a page or computes a fingerprint.
 	pages []*page
 	slots []uint64
-	// d is the dense ablation representation (NewDensePM). See dense.go.
-	d *denseState
 
 	writers   []string // interned writer locations
 	writerIDs map[string]uint32
@@ -127,8 +122,7 @@ type PM struct {
 	// writeback-pending bytes to whether the whole line was uniformly
 	// WritebackPending when marked ("full"). Full lines take the fence's
 	// range-fill fast path; a store that re-modifies bytes of a pending
-	// line demotes it to the per-byte path (demotePendingLines). The
-	// dense fence ignores the flag and always scans per byte.
+	// line demotes it to the per-byte path (demotePendingLines).
 	pendingLines map[uint64]bool
 	clock        uint32 // global timestamp; increments after each SFence
 
@@ -147,13 +141,13 @@ type PM struct {
 	onPerf func(PerfBug) // optional performance-bug callback
 
 	// postGen is the post-failure check generation counter (postcheck.go);
-	// the per-byte scratch lives in the pages/dense arrays.
+	// the per-byte scratch lives in the pages.
 	postGen uint32
 
 	// Cold-page compaction (compact.go): compactCold gates it, cold maps
 	// each uniform-metadata class to its shared singleton page, coldSlots
 	// remembers which slots were compacted (for rehydration). Canonical
-	// sparse shadows only; forks never compact.
+	// shadows only; forks never compact.
 	compactCold bool
 	cold        map[coldKey]*page
 	coldSlots   map[int]*page
@@ -162,7 +156,7 @@ type PM struct {
 	stats *Stats
 }
 
-// NewPM returns a sparse paged shadow for a pool of the given size with
+// NewPM returns a paged shadow for a pool of the given size with
 // the clock at epoch 1 (epoch 0 is reserved for "never").
 func NewPM(size uint64) *PM {
 	return &PM{
@@ -176,33 +170,11 @@ func NewPM(size uint64) *PM {
 	}
 }
 
-// NewDensePM returns a shadow using the dense full-pool-size per-byte
-// representation with per-byte FSM transitions — the ablation reference
-// behind core.Config.DenseShadow. Its report behavior is identical to the
-// sparse default.
-func NewDensePM(size uint64) *PM {
-	s := &PM{
-		size:         size,
-		dense:        true,
-		d:            newDenseState(size),
-		writerIDs:    make(map[string]uint32),
-		pendingLines: make(map[uint64]bool),
-		clock:        1,
-		stats:        &Stats{},
-	}
-	s.stats.grow(denseFootprint(size))
-	return s
-}
-
 // Size returns the shadowed pool size.
 func (s *PM) Size() uint64 { return s.size }
 
 // Clock returns the current global timestamp.
 func (s *PM) Clock() uint32 { return s.clock }
-
-// Dense reports whether this shadow uses the dense ablation
-// representation.
-func (s *PM) Dense() bool { return s.dense }
 
 // SetPerfBugHandler installs the callback invoked for each performance-bug
 // observation. A nil handler disables reporting.
@@ -210,9 +182,6 @@ func (s *PM) SetPerfBugHandler(f func(PerfBug)) { s.onPerf = f }
 
 // State returns the persistence state of the byte at addr.
 func (s *PM) State(addr uint64) PersistState {
-	if s.dense {
-		return s.d.state[addr]
-	}
 	if pg := s.pages[addr>>pageShift]; pg != nil {
 		return pg.state[addr&pageMask]
 	}
@@ -221,9 +190,6 @@ func (s *PM) State(addr uint64) PersistState {
 
 // WriteEpoch returns the epoch of the last write to addr (0 if never).
 func (s *PM) WriteEpoch(addr uint64) uint32 {
-	if s.dense {
-		return s.d.writeEpoch[addr]
-	}
 	if pg := s.pages[addr>>pageShift]; pg != nil {
 		return pg.writeEpoch[addr&pageMask]
 	}
@@ -232,9 +198,6 @@ func (s *PM) WriteEpoch(addr uint64) uint32 {
 
 // PersistEpoch returns the epoch at which addr last became persisted.
 func (s *PM) PersistEpoch(addr uint64) uint32 {
-	if s.dense {
-		return s.d.persistEpoch[addr]
-	}
 	if pg := s.pages[addr>>pageShift]; pg != nil {
 		return pg.persistEpoch[addr&pageMask]
 	}
@@ -243,9 +206,6 @@ func (s *PM) PersistEpoch(addr uint64) uint32 {
 
 // TxProtected reports whether addr is covered by undo-log protection.
 func (s *PM) TxProtected(addr uint64) bool {
-	if s.dense {
-		return s.d.txSafe[addr]
-	}
 	if pg := s.pages[addr>>pageShift]; pg != nil {
 		return pg.txSafe[addr&pageMask]
 	}
@@ -255,9 +215,7 @@ func (s *PM) TxProtected(addr uint64) bool {
 // WriterIP returns the source location of the last writer of addr.
 func (s *PM) WriterIP(addr uint64) string {
 	var i uint32
-	if s.dense {
-		i = s.d.writerIdx[addr]
-	} else if pg := s.pages[addr>>pageShift]; pg != nil {
+	if pg := s.pages[addr>>pageShift]; pg != nil {
 		i = pg.writerIdx[addr&pageMask]
 	}
 	if i != 0 {
@@ -335,10 +293,10 @@ func (s *PM) Apply(e trace.Entry) {
 	}
 }
 
-// sparseStore applies a store's per-byte effects page by page: the state,
+// storeRange applies a store's per-byte effects page by page: the state,
 // epoch, and writer arrays take unconditional range fills, and the txSafe
 // voiding scan runs only on pages that may hold protected bytes.
-func (s *PM) sparseStore(addr, end uint64, w uint32, inTx bool, st PersistState) {
+func (s *PM) storeRange(addr, end uint64, w uint32, inTx bool, st PersistState) {
 	for b := addr; b < end; {
 		pi, lo, hi, next := pageSpan(b, end)
 		pg := s.writablePage(pi)
@@ -381,12 +339,8 @@ func (s *PM) applyWrite(addr, size uint64, ip string) {
 	}
 	w := s.internWriter(ip)
 	inTx := s.txDepth > 0
-	if s.dense {
-		s.denseStore(addr, end, w, inTx, Modified)
-	} else {
-		s.sparseStore(addr, end, w, inTx, Modified)
-		s.demotePendingLines(addr, end)
-	}
+	s.storeRange(addr, end, w, inTx, Modified)
+	s.demotePendingLines(addr, end)
 	s.noteCommitWrites(addr, end)
 }
 
@@ -397,30 +351,23 @@ func (s *PM) applyNTStore(addr, size uint64, ip string) {
 	}
 	w := s.internWriter(ip)
 	inTx := s.txDepth > 0
-	if s.dense {
-		s.denseStore(addr, end, w, inTx, WritebackPending)
-		for line := pmem.LineDown(addr); line < end; line += pmem.CacheLineSize {
-			s.pendingLines[line] = true // flag unused by the dense fence
+	s.storeRange(addr, end, w, inTx, WritebackPending)
+	for line := pmem.LineDown(addr); line < end; line += pmem.CacheLineSize {
+		lineEnd := line + pmem.CacheLineSize
+		if lineEnd > s.size {
+			lineEnd = s.size
 		}
-	} else {
-		s.sparseStore(addr, end, w, inTx, WritebackPending)
-		for line := pmem.LineDown(addr); line < end; line += pmem.CacheLineSize {
-			lineEnd := line + pmem.CacheLineSize
-			if lineEnd > s.size {
-				lineEnd = s.size
-			}
-			if addr <= line && end >= lineEnd {
-				// The store covers the whole line, so every byte of it is
-				// now WritebackPending: eligible for the fence fast path.
-				// (An earlier partial marking is superseded.)
-				s.pendingLines[line] = true
-			} else if _, ok := s.pendingLines[line]; !ok {
-				// Partial store: bytes outside it may be in any state.
-				// Conservatively take the per-byte fence path — unless the
-				// line is already known fully pending, which a partial NT
-				// store preserves (its bytes end up WritebackPending too).
-				s.pendingLines[line] = false
-			}
+		if addr <= line && end >= lineEnd {
+			// The store covers the whole line, so every byte of it is
+			// now WritebackPending: eligible for the fence fast path.
+			// (An earlier partial marking is superseded.)
+			s.pendingLines[line] = true
+		} else if _, ok := s.pendingLines[line]; !ok {
+			// Partial store: bytes outside it may be in any state.
+			// Conservatively take the per-byte fence path — unless the
+			// line is already known fully pending, which a partial NT
+			// store preserves (its bytes end up WritebackPending too).
+			s.pendingLines[line] = false
 		}
 	}
 	s.noteCommitWrites(addr, end)
@@ -430,22 +377,16 @@ func (s *PM) applyFlush(addr, size uint64, ip string) {
 	start := pmem.LineDown(addr)
 	limit := pmem.LineUp(addr + size)
 	start, limit = s.clip(start, limit-start)
-	useful := false
-	if s.dense {
-		s.denseFlush(start, limit, &useful)
-	} else {
-		s.sparseFlush(start, limit, &useful)
-	}
-	if !useful && s.onPerf != nil {
+	if !s.flushLines(start, limit) && s.onPerf != nil {
 		s.onPerf(PerfBug{Kind: RedundantFlush, Addr: addr, Size: size, IP: ip})
 	}
 }
 
-// sparseFlush transitions Modified bytes of the flushed lines to
+// flushLines transitions Modified bytes of the flushed lines to
 // WritebackPending. Pages never touched contain nothing modified and are
 // skipped whole; lines that end up uniformly WritebackPending are marked
-// full for the fence fast path.
-func (s *PM) sparseFlush(start, limit uint64, useful *bool) {
+// full for the fence fast path. It reports whether any byte was Modified.
+func (s *PM) flushLines(start, limit uint64) (useful bool) {
 	for line := start; line < limit; line += pmem.CacheLineSize {
 		lineEnd := line + pmem.CacheLineSize
 		if lineEnd > s.size {
@@ -471,7 +412,7 @@ func (s *PM) sparseFlush(start, limit uint64, useful *bool) {
 		if nM == 0 {
 			continue
 		}
-		*useful = true
+		useful = true
 		pg = s.writablePage(pi)
 		pg.invalidateLines(lo, hi)
 		if unsoundFlushForTest {
@@ -499,52 +440,49 @@ func (s *PM) sparseFlush(start, limit uint64, useful *bool) {
 			s.pendingLines[line] = false
 		}
 	}
+	return useful
 }
 
 func (s *PM) applyFence() {
 	var cands []int
-	if s.dense {
-		s.denseFence()
-	} else {
-		if s.compactCold && s.txDepth == 0 {
-			// Pages whose lines persist at this fence are the only new
-			// cold-page candidates; collect them before the map is cleared.
-			cands = s.compactCandidates()
+	if s.compactCold && s.txDepth == 0 {
+		// Pages whose lines persist at this fence are the only new
+		// cold-page candidates; collect them before the map is cleared.
+		cands = s.compactCandidates()
+	}
+	for line, full := range s.pendingLines {
+		lineEnd := line + pmem.CacheLineSize
+		if lineEnd > s.size {
+			lineEnd = s.size
 		}
-		for line, full := range s.pendingLines {
-			lineEnd := line + pmem.CacheLineSize
-			if lineEnd > s.size {
-				lineEnd = s.size
-			}
-			pi := int(line >> pageShift)
-			if s.pages[pi] == nil {
-				continue
-			}
-			pg := s.writablePage(pi)
-			if staleFenceFingerprintForTest {
-				// Deliberately wrong (see mutation.go): the fence's fill
-				// "forgets" to drop this line's fingerprint cache, and the
-				// page ignores all invalidation from here on.
-				pg.fpStuck = true
-			}
-			lo := int(line & pageMask)
-			hi := lo + int(lineEnd-line)
-			pg.invalidateLines(lo, hi)
-			if full || lostRangeBatchForTest {
-				// Fast path: the whole line is WritebackPending, so the
-				// transition is one range fill per array. The mutation
-				// switch (mutation.go) deliberately takes it for demoted
-				// mixed-state lines too, spuriously persisting their
-				// re-modified bytes.
-				fillState(pg.state[lo:hi], Persisted)
-				fillU32(pg.persistEpoch[lo:hi], s.clock)
-				continue
-			}
-			for i := lo; i < hi; i++ {
-				if pg.state[i] == WritebackPending {
-					pg.state[i] = Persisted
-					pg.persistEpoch[i] = s.clock
-				}
+		pi := int(line >> pageShift)
+		if s.pages[pi] == nil {
+			continue
+		}
+		pg := s.writablePage(pi)
+		if staleFenceFingerprintForTest {
+			// Deliberately wrong (see mutation.go): the fence's fill
+			// "forgets" to drop this line's fingerprint cache, and the
+			// page ignores all invalidation from here on.
+			pg.fpStuck = true
+		}
+		lo := int(line & pageMask)
+		hi := lo + int(lineEnd-line)
+		pg.invalidateLines(lo, hi)
+		if full || lostRangeBatchForTest {
+			// Fast path: the whole line is WritebackPending, so the
+			// transition is one range fill per array. The mutation
+			// switch (mutation.go) deliberately takes it for demoted
+			// mixed-state lines too, spuriously persisting their
+			// re-modified bytes.
+			fillState(pg.state[lo:hi], Persisted)
+			fillU32(pg.persistEpoch[lo:hi], s.clock)
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			if pg.state[i] == WritebackPending {
+				pg.state[i] = Persisted
+				pg.persistEpoch[i] = s.clock
 			}
 		}
 	}
@@ -566,28 +504,23 @@ func (s *PM) applyTxAdd(addr, size uint64, ip string, explicit bool) {
 		// pmobj library reports this as a usage error before it gets here.
 		return
 	}
-	var duplicate bool
-	if s.dense {
-		duplicate = s.denseTxAdd(addr, end, explicit)
-	} else {
-		duplicate = explicit
-		for b := addr; b < end; {
-			pi, lo, hi, next := pageSpan(b, end)
-			pg := s.writablePage(pi)
-			pg.invalidateLines(lo, hi)
-			pg.anyTxSafe = true
-			for i := lo; i < hi; i++ {
-				if pg.txExplicit[i] != s.txGen {
-					duplicate = false
-				}
-				pg.txAddGen[i] = s.txGen
-				if explicit {
-					pg.txExplicit[i] = s.txGen
-				}
-				pg.txSafe[i] = true
+	duplicate := explicit
+	for b := addr; b < end; {
+		pi, lo, hi, next := pageSpan(b, end)
+		pg := s.writablePage(pi)
+		pg.invalidateLines(lo, hi)
+		pg.anyTxSafe = true
+		for i := lo; i < hi; i++ {
+			if pg.txExplicit[i] != s.txGen {
+				duplicate = false
 			}
-			b = next
+			pg.txAddGen[i] = s.txGen
+			if explicit {
+				pg.txExplicit[i] = s.txGen
+			}
+			pg.txSafe[i] = true
 		}
+		b = next
 	}
 	s.curTx = append(s.curTx, txRange{addr, end - addr})
 	if duplicate && s.onPerf != nil {
@@ -601,18 +534,14 @@ type txRange struct{ addr, size uint64 }
 // the undo log no longer covers its ranges, so their post-failure safety
 // falls back to the persistence state (the commit's writeback).
 func (s *PM) endTxProtection() {
-	if s.dense {
-		s.denseEndTxProtection()
-	} else {
-		for _, r := range s.curTx {
-			for b := r.addr; b < r.addr+r.size; {
-				pi, lo, hi, next := pageSpan(b, r.addr+r.size)
-				pg := s.writablePage(pi)
-				pg.invalidateLines(lo, hi)
-				fillBool(pg.txSafe[lo:hi], false)
-				b = next
-				// anyTxSafe stays set: the hint is conservative.
-			}
+	for _, r := range s.curTx {
+		for b := r.addr; b < r.addr+r.size; {
+			pi, lo, hi, next := pageSpan(b, r.addr+r.size)
+			pg := s.writablePage(pi)
+			pg.invalidateLines(lo, hi)
+			fillBool(pg.txSafe[lo:hi], false)
+			b = next
+			// anyTxSafe stays set: the hint is conservative.
 		}
 	}
 	s.curTx = s.curTx[:0]
@@ -624,14 +553,10 @@ func (s *PM) applyAtomicAlloc(addr, size uint64, ip string) {
 		return
 	}
 	w := s.internWriter(ip)
-	if s.dense {
-		s.denseAtomicAlloc(addr, end, w)
-		return
-	}
 	// Freshly allocated memory has indeterminate content: with a different
 	// allocator it may not be zeroed (paper Bug 2), so it is modified-but-
 	// not-guaranteed-persisted until the program initializes and persists
-	// it. sparseStore with inTx=false also voids any undo-log protection.
-	s.sparseStore(addr, end, w, false, Modified)
+	// it. storeRange with inTx=false also voids any undo-log protection.
+	s.storeRange(addr, end, w, false, Modified)
 	s.demotePendingLines(addr, end)
 }

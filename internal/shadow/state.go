@@ -25,14 +25,11 @@ package shadow
 // (compact.go) is likewise not serialized: the recording pool is
 // memory-backed, so compaction is never active while recording, and a
 // replaying shard that re-enables it simply starts with empty cold maps —
-// compaction is fingerprint-transparent either way. Only sparse shadows
-// serialize; the dense ablation representation falls back to full-trace
-// replay in core.
+// compaction is fingerprint-transparent either way.
 
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -41,10 +38,6 @@ const (
 	stateMagic   = 0x53444658 // "XFDS"
 	stateVersion = 2
 )
-
-// ErrDenseState marks an attempt to serialize the dense ablation shadow,
-// which has no checkpoint form.
-var ErrDenseState = errors.New("shadow: dense shadow state cannot be serialized")
 
 type stateWriter struct {
 	w   *bufio.Writer
@@ -106,12 +99,8 @@ func (sw *stateWriter) bools(a []bool) {
 }
 
 // WriteState serializes the shadow's complete pre-failure state to w.
-// Sparse canonical shadows only: forks and the dense representation are
-// rejected.
+// Call it on the canonical shadow, not on a fork.
 func (s *PM) WriteState(w io.Writer) error {
-	if s.dense {
-		return ErrDenseState
-	}
 	sw := &stateWriter{w: bufio.NewWriterSize(w, 1<<16)}
 	sw.u32(stateMagic)
 	sw.u32(stateVersion)
