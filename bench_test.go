@@ -245,8 +245,9 @@ func BenchmarkAblationPruning(b *testing.B) {
 
 // BenchmarkCrossShardPruning measures the cross-shard verdict channel
 // (PR 9): a three-shard campaign whose shards share a class registry —
-// the in-process form of the -serve daemon's claim/resolve protocol —
-// against the same fleet with the channel disabled
+// the in-process form of the -serve daemon's registry, settled by direct
+// Resolve calls where the daemon reads the representative's checkpoint
+// line — against the same fleet with the channel disabled
 // (-no-cross-shard-prune), where each shard prunes only within its own
 // failure-point partition. Two campaigns: the steady-state update loop,
 // whose crash-state classes all span the round-robin shard split (the

@@ -85,7 +85,7 @@ func openCheckpoint(path string, resuming bool) (*checkpointWriter, error) {
 // record is installed as core.Config.OnPostRunComplete. The detector
 // serializes these calls, but the lock keeps the writer safe regardless.
 // The crash-state fingerprint rides along on every per-point line so the
-// -serve daemon can correlate streamed verdicts across shards.
+// -serve daemon can settle the class a shard claimed once the line lands.
 func (w *checkpointWriter) record(fp int, fpr uint64, fresh []core.Report) {
 	w.append(ckpt.Line{FP: fp, FPrint: fpr, Reports: fresh})
 }

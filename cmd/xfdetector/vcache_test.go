@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/pmemgo/xfdetector/internal/vcache"
 )
 
 func TestVerdictCacheFlagValidation(t *testing.T) {
@@ -164,5 +166,69 @@ func TestSpawnShardVerdictCaches(t *testing.T) {
 	}
 	if strings.TrimSpace(string(cold)) == "" {
 		t.Error("campaign found no bugs; the equivalence proves nothing")
+	}
+}
+
+// mergedPostRunsRe reads the post-run count of the campaign's own result
+// line; under -spawn the shards' result lines reach the output first,
+// prefixed by their worker.
+var mergedPostRunsRe = regexp.MustCompile(`(?m)^failure points: \d+, post-failure runs: (\d+)`)
+
+// TestSpawnVerdictCacheMatchesStandalone: the daemon learns each class
+// verdict from the representative's checkpoint line, so a -spawn fleet
+// caches exactly the classes a standalone campaign of the same program
+// caches, and its warm rerun re-tests exactly what the standalone warm
+// run re-tests. The seeded btree-skip-add-leaf bug makes many
+// representatives fault with a message an earlier failure point already
+// reported; were those lines empty, the fleet would cache the faulted
+// classes as clean and its warm rerun would skip them.
+func TestSpawnVerdictCacheMatchesStandalone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-execs full detection campaigns and shard fleets")
+	}
+	dir := t.TempDir()
+	standalone := campaign + " -verdict-cache " + filepath.Join(dir, "standalone.cache")
+	fleetCache := filepath.Join(dir, "fleet.cache")
+	fleet := campaign + " -spawn 2 " + spawnFleet + " -workdir " + filepath.Join(dir, "fleet") + " -verdict-cache " + fleetCache
+	postRuns := func(args, keys string) int {
+		t.Helper()
+		code, out := runCLI(t, args+" -keys-out "+filepath.Join(dir, keys))
+		if code != 1 {
+			t.Fatalf("%q exited %d, want 1 (seeded bug):\n%s", args, code, out)
+		}
+		return extract(t, mergedPostRunsRe, out)
+	}
+	entries := func(path string) int {
+		t.Helper()
+		c, err := vcache.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		return c.Len()
+	}
+
+	postRuns(standalone, "standalone-cold.txt")
+	postRuns(fleet, "fleet-cold.txt")
+	want := entries(filepath.Join(dir, "standalone.cache"))
+	if got := entries(fleetCache); got != want || want == 0 {
+		t.Errorf("cold fleet cached %d class verdict(s), the standalone campaign %d", got, want)
+	}
+	wantWarm := postRuns(standalone, "standalone-warm.txt")
+	if got := postRuns(fleet, "fleet-warm.txt"); got != wantWarm || wantWarm == 0 {
+		t.Errorf("warm fleet post-ran %d failure point(s), the standalone warm run %d", got, wantWarm)
+	}
+	ref, err := os.ReadFile(filepath.Join(dir, "standalone-cold.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keys := range []string{"fleet-cold.txt", "standalone-warm.txt", "fleet-warm.txt"} {
+		got, err := os.ReadFile(filepath.Join(dir, keys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Errorf("%s diverges from the standalone cold run's keys", keys)
+		}
 	}
 }

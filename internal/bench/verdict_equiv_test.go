@@ -8,9 +8,10 @@ import (
 )
 
 // runVerdictFleet runs target as a three-shard fleet, optionally sharing
-// a class registry (the in-process form of the -serve daemon's
-// claim/resolve channel; nil models -no-cross-shard-prune, where each
-// shard prunes only within its own partition).
+// a class registry (the in-process form of the -serve daemon's class
+// registry, settled by direct Resolve calls where the daemon reads the
+// representative's checkpoint line; nil models -no-cross-shard-prune,
+// where each shard prunes only within its own partition).
 func runVerdictFleet(t *testing.T, target func() core.Target, reg *core.ClassRegistry) (posts, cross int, union map[string]bool) {
 	t.Helper()
 	const shards = 3

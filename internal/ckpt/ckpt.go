@@ -28,7 +28,11 @@ import (
 const SummaryFP = -1
 
 // Line is one checkpoint record. Per-point lines (FP >= 0) carry the
-// reports first observed at that failure point; the summary line
+// reports first observed at that failure point, and a faulted post-run's
+// PostFailureFault always rides on its own line even when an earlier point
+// reported the same message: the -serve daemon settles a crash-state
+// class from its representative's line, dirty exactly when the line
+// carries a fault. The summary line
 // (FP == SummaryFP) carries the campaign totals, the pre-failure reports
 // (fp < 0, i.e. performance bugs from the trace replay), and the
 // per-bucket failure-point accounting that lets a merge reconstruct an
@@ -37,9 +41,10 @@ type Line struct {
 	FP      int           `json:"fp"`
 	Reports []core.Report `json:"reports,omitempty"`
 	// FPrint is the failure point's crash-state fingerprint, set on
-	// per-point lines by pruning runs (zero under -no-prune and on legacy
-	// checkpoints, both of which still parse). The -serve daemon uses it
-	// to correlate streamed verdicts across a campaign's shards.
+	// per-point lines by pruning runs (zero under -no-prune, on members of
+	// a dirty class, whose outcomes speak only for themselves, and on
+	// legacy checkpoints, all of which still parse). The -serve daemon
+	// uses it to settle the class a lease claimed when the line lands.
 	FPrint uint64 `json:"fpr,omitempty"`
 	// Total and Shards are only set on the summary line: the campaign's
 	// failure-point count and the shard layout that wrote it (0 when the

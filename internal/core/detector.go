@@ -123,9 +123,14 @@ type Config struct {
 	// failure point completes (including budget-exceeded and abandoned
 	// runs, which are deterministic, but not quarantined or cancelled ones,
 	// which a resumed campaign must re-execute) with the failure point's
-	// id, its crash-state fingerprint (zero when pruning is disabled), and
-	// the reports that post-run newly added. Calls are serialized but may
-	// come from worker goroutines in parallel mode.
+	// id, its crash-state fingerprint (zero when pruning is disabled, and
+	// for a member of a dirty class, whose outcome speaks only for
+	// itself), and the reports that post-run newly added. A faulted
+	// post-run's PostFailureFault is always among them, even when an
+	// earlier failure point already reported the same message: a -serve
+	// daemon reads a class verdict off its representative's checkpoint
+	// line. Calls are serialized but may come from worker goroutines in
+	// parallel mode.
 	OnPostRunComplete func(failurePoint int, fingerprint uint64, fresh []Report)
 	// Verdicts, if set, shares crash-state class verdicts beyond this
 	// process: the runner claims each class before running its local
@@ -908,7 +913,9 @@ func awaitPost(r *runner, gate *postGate, done <-chan error, sink *postSink, cla
 // checkpoint callback. Cancelled runs are counted as skipped and not
 // checkpointed, so a resumed campaign re-executes them; deadline-abandoned
 // runs are deterministic (the uninterrupted campaign times out the same
-// way) and are reported and checkpointed.
+// way) and are reported and checkpointed. The fault rides on the point's
+// own line whether or not the deduplicated set already holds it, so the
+// line alone tells a dirty post-run from a clean one.
 func (r *runner) finishPost(fpID int, fpr uint64, out postOutcome) {
 	if out.cancelled {
 		r.unspawnPostRun()
@@ -923,9 +930,8 @@ func (r *runner) finishPost(fpID int, fpr uint64, out postOutcome) {
 	}
 	if out.err != nil {
 		rep := Report{Class: PostFailureFault, FailurePoint: fpID, Message: out.err.Error()}
-		if r.reports.add(rep) {
-			out.fresh = append(out.fresh, rep)
-		}
+		r.reports.add(rep)
+		out.fresh = append(out.fresh, rep)
 	}
 	r.completeFP(fpID, fpr, out.fresh)
 }

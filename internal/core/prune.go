@@ -113,8 +113,13 @@ func (o postOutcome) clean() bool {
 // handled=true when the failure point was consumed here: pruned against a
 // clean class, parked behind an in-flight representative, or quarantined
 // on a failing snapshot. A nil class with handled=false means the failure
-// point belongs to a dirty class and runs like an unpruned one. Callers
-// hold sinkMu.
+// point belongs to a dirty class and runs like an unpruned one, with a
+// zero fingerprint: its outcome is its own and must not speak for the
+// class. (A -serve daemon settles a class from the owner's first line
+// carrying its fingerprint; after a quarantined representative, which
+// writes no line, a member's clean line would otherwise settle the class
+// with reports that miss what the void attempts observed.) Callers hold
+// sinkMu.
 func (r *runner) enterClass(fpID int) (cls *crashClass, fpr uint64, handled bool) {
 	fp := r.sh.CrashFingerprint()
 	r.pruneMu.Lock()
@@ -192,7 +197,7 @@ func (r *runner) enterClass(fpID int) (cls *crashClass, fpr uint64, handled bool
 		return c, fp, false
 	default: // classDirty
 		r.pruneMu.Unlock()
-		return nil, fp, false
+		return nil, 0, false
 	}
 }
 
@@ -233,16 +238,18 @@ func (r *runner) resolveClass(cls *crashClass, clean bool, fresh []Report) {
 			p.fork.Release()
 			continue
 		}
-		r.runParked(cls.fpr, p)
+		r.runParked(p)
 	}
 }
 
 // runParked executes a parked member of a poisoned class against the fork
 // and snapshot captured at its failure point, with the same
-// retry-once-then-quarantine semantics as any other post-run. It runs on
-// the goroutine that resolved the class (a parallel worker), inside that
-// worker's timed window, so PostSeconds accounting is unchanged.
-func (r *runner) runParked(fpr uint64, p parkedFP) {
+// retry-once-then-quarantine semantics as any other post-run, and — like
+// every member of a dirty class — checkpoints it without a fingerprint
+// (see enterClass). It runs on the goroutine that resolved the class (a
+// parallel worker), inside that worker's timed window, so PostSeconds
+// accounting is unchanged.
+func (r *runner) runParked(p parkedFP) {
 	defer p.fork.Release()
 	r.notePostRun()
 	out, ok := r.runAttempts(p.id, func() postOutcome {
@@ -261,5 +268,5 @@ func (r *runner) runParked(fpr uint64, p parkedFP) {
 		r.benign += out.benign
 		r.postEntries += out.ents
 	}
-	r.finishPost(p.id, fpr, out)
+	r.finishPost(p.id, 0, out)
 }

@@ -20,7 +20,7 @@ import "sync"
 // source never races the parking path. The four answers:
 //
 //	VerdictOwn:    nobody has this class; the caller becomes the global
-//	               representative and must publish its outcome via Resolve.
+//	               representative, and its outcome settles the class.
 //	VerdictRun:    another shard's representative is in flight (or already
 //	               went dirty); run the post-failure execution inline and do
 //	               NOT publish — only the owner resolves.
@@ -52,10 +52,15 @@ type ClassClaim struct {
 // VerdictSource answers crash-state class claims for one run. Claim must
 // answer every fingerprint exactly once per run (the runner's local class
 // map already dedups); Resolve is called only for claims answered
-// VerdictOwn, with the representative's outcome and — when clean — the
-// fresh reports it observed. Implementations that cannot reach their
-// backing store should fail open: answer VerdictRun and swallow Resolve
-// errors, degrading to PR 6's in-process pruning, never to wrong verdicts.
+// VerdictOwn, after the representative's checkpoint callback, with its
+// outcome and — when clean — the fresh reports it observed. A source may
+// instead learn the outcome from that checkpoint line, which carries the
+// same reports plus any PostFailureFault: the -serve daemon does, so a
+// verdict never becomes visible before the data behind it is durable
+// (serve.LeaseVerdicts.Resolve is a no-op). Implementations that cannot
+// reach their backing store should fail open: answer VerdictRun and
+// swallow Resolve errors, degrading to PR 6's in-process pruning, never to
+// wrong verdicts.
 type VerdictSource interface {
 	Claim(fingerprint uint64) ClassClaim
 	Resolve(fingerprint uint64, clean bool, fresh []Report)
@@ -71,9 +76,8 @@ const (
 )
 
 type registryClass struct {
-	state   regState
-	owner   string // lease/shard that holds the pending claim
-	reports []Report
+	state regState
+	owner string // lease/shard that holds the pending claim
 }
 
 // attributeDirtyForTest is a deliberate soundness bug for the mutation
@@ -92,7 +96,9 @@ func SetAttributeDirtyVerdictsForTest(on bool) { attributeDirtyForTest = on }
 // an unknown fingerprint becomes its owner; everyone else waits out the
 // pending window (VerdictRun — claimants never block) or attributes the
 // sticky clean/dirty resolution. Owners are released when their lease dies
-// so an expired shard's half-run representative can be re-claimed.
+// so an expired shard's half-run representative can be re-claimed. The
+// registry keeps verdicts only: a clean class's reports live in its
+// owner's checkpoint line (and, under the daemon, the verdict cache).
 type ClassRegistry struct {
 	mu         sync.Mutex
 	classes    map[uint64]*registryClass
@@ -123,12 +129,20 @@ func (g *ClassRegistry) Claim(owner string, fingerprint uint64) ClassClaim {
 	}
 }
 
+// Known reports whether fingerprint has a class on record, pending or
+// settled.
+func (g *ClassRegistry) Known(fingerprint uint64) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.classes[fingerprint] != nil
+}
+
 // Resolve records owner's representative outcome, reporting whether the
 // resolve landed as a clean class (so the daemon knows to persist it).
 // Only the pending owner may resolve — a late resolve from an expired
 // lease (whose class was released and possibly re-claimed) is dropped, so
 // a zombie shard can never attribute. Clean and dirty are both sticky.
-func (g *ClassRegistry) Resolve(owner string, fingerprint uint64, clean bool, fresh []Report) bool {
+func (g *ClassRegistry) Resolve(owner string, fingerprint uint64, clean bool) bool {
 	if attributeDirtyForTest {
 		clean = true
 	}
@@ -141,27 +155,10 @@ func (g *ClassRegistry) Resolve(owner string, fingerprint uint64, clean bool, fr
 	c.owner = ""
 	if clean {
 		c.state = regClean
-		c.reports = append([]Report(nil), fresh...)
 		return true
 	}
 	c.state = regDirty
 	return false
-}
-
-// SeedClean installs a cached clean verdict into owner's pending claim —
-// the daemon calls it when the on-disk cross-campaign cache already holds
-// the class, converting the just-granted ownership into a resolved class
-// before the owner runs anything.
-func (g *ClassRegistry) SeedClean(owner string, fingerprint uint64, reports []Report) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c := g.classes[fingerprint]
-	if c == nil || c.state != regPending || c.owner != owner {
-		return
-	}
-	c.owner = ""
-	c.state = regClean
-	c.reports = append([]Report(nil), reports...)
 }
 
 // ReleaseOwner drops every pending claim held by owner, so the classes an
@@ -174,29 +171,6 @@ func (g *ClassRegistry) ReleaseOwner(owner string) {
 			delete(g.classes, fp)
 		}
 	}
-}
-
-// Revoke drops a clean class so that its next claimant owns it afresh.
-// The daemon calls it when the lease that resolved (or cache-seeded) the
-// class ended before the checkpoint line carrying the representative's
-// reports reached it: attributing the class would lose those reports.
-func (g *ClassRegistry) Revoke(fingerprint uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c := g.classes[fingerprint]; c != nil && c.state == regClean {
-		delete(g.classes, fingerprint)
-	}
-}
-
-// Reports returns the clean class's cached reports, if resolved clean.
-func (g *ClassRegistry) Reports(fingerprint uint64) ([]Report, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c := g.classes[fingerprint]
-	if c == nil || c.state != regClean {
-		return nil, false
-	}
-	return append([]Report(nil), c.reports...), true
 }
 
 // Stats reports the number of known classes and the number of claims
@@ -223,6 +197,6 @@ func (b *boundRegistry) Claim(fingerprint uint64) ClassClaim {
 	return b.g.Claim(b.owner, fingerprint)
 }
 
-func (b *boundRegistry) Resolve(fingerprint uint64, clean bool, fresh []Report) {
-	b.g.Resolve(b.owner, fingerprint, clean, fresh)
+func (b *boundRegistry) Resolve(fingerprint uint64, clean bool, _ []Report) {
+	b.g.Resolve(b.owner, fingerprint, clean)
 }

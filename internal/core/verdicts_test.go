@@ -1,42 +1,49 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"github.com/pmemgo/xfdetector/internal/pmem"
+	"github.com/pmemgo/xfdetector/internal/trace"
 )
 
 // TestClassRegistryStateMachine: ownership, sticky resolution, owner-only
-// resolve, cache seeding and owner release at the registry level.
+// resolve, Known and owner release at the registry level.
 func TestClassRegistryStateMachine(t *testing.T) {
 	g := NewClassRegistry()
+	if g.Known(1) {
+		t.Fatal("unclaimed fingerprint known")
+	}
 	if v := g.Claim("a", 1); v.Verdict != VerdictOwn {
 		t.Fatalf("first claim = %v, want VerdictOwn", v.Verdict)
+	}
+	if !g.Known(1) {
+		t.Fatal("pending class not known")
 	}
 	if v := g.Claim("b", 1); v.Verdict != VerdictRun {
 		t.Fatalf("claim on pending class = %v, want VerdictRun", v.Verdict)
 	}
-	if g.Resolve("b", 1, true, nil) {
+	if g.Resolve("b", 1, true) {
 		t.Fatal("non-owner resolve landed")
 	}
-	rep := Report{Class: CrossFailureRace, ReaderIP: "r.go:1", WriterIP: "w.go:2"}
-	if !g.Resolve("a", 1, true, []Report{rep}) {
+	if !g.Resolve("a", 1, true) {
 		t.Fatal("owner's clean resolve did not land")
 	}
 	if v := g.Claim("b", 1); v.Verdict != VerdictClean {
 		t.Fatalf("claim on clean class = %v, want VerdictClean", v.Verdict)
 	}
-	if got, ok := g.Reports(1); !ok || len(got) != 1 || got[0].DedupKey() != rep.DedupKey() {
-		t.Fatalf("Reports(1) = %v, %v", got, ok)
-	}
 	// A resolve after the fact (zombie) must not flip a settled class.
-	if g.Resolve("a", 1, false, nil) {
+	if g.Resolve("a", 1, false) {
 		t.Fatal("resolve on a settled class landed")
 	}
 
 	// Dirty is sticky: claimants run inline forever.
 	g.Claim("a", 2)
-	if g.Resolve("a", 2, false, nil) {
+	if g.Resolve("a", 2, false) {
 		t.Fatal("dirty resolve reported clean")
 	}
 	if v := g.Claim("b", 2); v.Verdict != VerdictRun {
@@ -52,19 +59,12 @@ func TestClassRegistryStateMachine(t *testing.T) {
 	if v := g.Claim("c", 1); v.Verdict != VerdictClean {
 		t.Fatalf("settled class lost by ReleaseOwner: %v", v.Verdict)
 	}
-	if g.Resolve("a", 3, true, nil) {
+	if g.Resolve("a", 3, true) {
 		t.Fatal("released owner's late resolve landed")
 	}
 
-	// SeedClean converts a fresh ownership into a resolved class.
-	g.Claim("a", 4)
-	g.SeedClean("a", 4, []Report{rep})
-	if v := g.Claim("b", 4); v.Verdict != VerdictClean {
-		t.Fatalf("claim on seeded class = %v, want VerdictClean", v.Verdict)
-	}
-
-	if classes, attributed := g.Stats(); classes != 4 || attributed != 3 {
-		t.Errorf("Stats = %d classes, %d attributed; want 4 and 3", classes, attributed)
+	if classes, attributed := g.Stats(); classes != 3 || attributed != 2 {
+		t.Errorf("Stats = %d classes, %d attributed; want 3 and 2", classes, attributed)
 	}
 }
 
@@ -268,5 +268,101 @@ func TestDirtyRepresentativesNeverAttribute(t *testing.T) {
 	}
 	if !equalKeys(sortedKeys(second), sortedKeys(plain)) {
 		t.Errorf("second run keys diverge from plain run:\nsecond: %v\nplain:  %v", sortedKeys(second), sortedKeys(plain))
+	}
+}
+
+// TestFaultRidesOnEveryLine: a faulted post-run's PostFailureFault rides on
+// its own checkpoint callback even when an earlier failure point already
+// reported the same message. A -serve daemon reads each class verdict off
+// the representative's line, so a faulted run whose line came out empty
+// would be read as clean and cached.
+func TestFaultRidesOnEveryLine(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			target := manyFPTarget("fault-on-line")
+			target.Post = func(*Ctx) error { return errors.New("recovery refused the pool") }
+			calls := 0
+			var bare []int
+			cfg := Config{Workers: workers, DisablePruning: true, OnPostRunComplete: func(fp int, _ uint64, fresh []Report) {
+				calls++
+				for _, rep := range fresh {
+					if rep.Class == PostFailureFault && rep.FailurePoint == fp {
+						return
+					}
+				}
+				bare = append(bare, fp)
+			}}
+			res, err := Run(cfg, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls < 2 || calls != res.PostRuns {
+				t.Fatalf("%d checkpoint callbacks for %d post-runs; want one per post-run, at least 2", calls, res.PostRuns)
+			}
+			if len(bare) > 0 {
+				t.Errorf("faulted post-runs of failure points %v checkpointed without their fault", bare)
+			}
+			if got := len(res.Reports); got != 1 {
+				t.Errorf("result holds %d reports, want the one deduplicated fault: %v", got, res.Reports)
+			}
+		})
+	}
+}
+
+// TestDirtyClassMembersCarryNoFingerprint: after a class's representative
+// is quarantined — it writes no checkpoint line — the members that run
+// inline report no class fingerprint. A -serve daemon settles a class from
+// the owner's first line carrying its fingerprint, so a clean member's
+// line would otherwise settle the class clean and cache reports that miss
+// what the representative's void attempts observed.
+func TestDirtyClassMembersCarryNoFingerprint(t *testing.T) {
+	target := Target{
+		Name: "repeated-store",
+		Pre: func(c *Ctx) error {
+			p := c.Pool()
+			for i := 0; i < 5; i++ {
+				p.Store64(0, 1)
+				p.Persist(0, 8)
+			}
+			return nil
+		},
+		Post: func(c *Ctx) error {
+			c.Pool().Load64(0)
+			return nil
+		},
+	}
+	class := map[int]uint64{}
+	if _, err := Run(Config{OnPostRunComplete: func(fp int, fpr uint64, _ []Report) { class[fp] = fpr }}, target); err != nil {
+		t.Fatal(err)
+	}
+	members := 0
+	for fp := 1; class[fp] == class[0]; fp++ {
+		members++
+	}
+	if members < 2 {
+		t.Fatalf("failure point 0's class has %d other member(s), want at least 2: %v", members, class)
+	}
+
+	// Both attempts of the first post-run (failure point 0, the class's
+	// representative) fault, so it is quarantined; every later one runs.
+	var faults atomic.Int32
+	hooks := &pmem.FaultHooks{Sink: func(e trace.Entry) error {
+		if e.Stage == trace.PostFailure && faults.Add(1) <= 2 {
+			return errors.New("post-failure pool lost its spool")
+		}
+		return nil
+	}}
+	got := map[int]uint64{}
+	res, err := Run(Config{FaultHooks: hooks, OnPostRunComplete: func(fp int, fpr uint64, _ []Report) { got[fp] = fpr }}, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := got[0]; ok || res.SkippedFailurePoints != 1 {
+		t.Fatalf("representative not quarantined: %d skipped, callbacks %v", res.SkippedFailurePoints, got)
+	}
+	for fp := 1; fp <= members; fp++ {
+		if fpr, ok := got[fp]; !ok || fpr != 0 {
+			t.Errorf("member %d: callback %v with fingerprint %#x; want one without the class fingerprint", fp, ok, fpr)
+		}
 	}
 }

@@ -68,13 +68,14 @@ func checkDigestsPredicted(p Program, config string, want *OracleResult, log *Po
 
 // checkCrossShard runs p as verdictShards sequential shards of one campaign
 // sharing a core.ClassRegistry — the in-process form of the -serve daemon's
-// claim/resolve protocol — and verifies the sharing is invisible: the union
-// of the shards' report keys equals the oracle's key set, every shard's
-// failure points land in exactly one Result bucket, and the total post-runs
-// across the fleet equal the single-process pruned run's (base) — one
-// representative per global crash-state class, however the members are
-// distributed. Sequential shard execution makes ownership deterministic, so
-// the post-run count is exact, not a bound.
+// class registry, settled by direct Resolve calls where the daemon reads
+// the representative's checkpoint line — and verifies the sharing is
+// invisible: the union of the shards' report keys equals the oracle's key
+// set, every shard's failure points land in exactly one Result bucket, and
+// the total post-runs across the fleet equal the single-process pruned
+// run's (base) — one representative per global crash-state class, however
+// the members are distributed. Sequential shard execution makes ownership
+// deterministic, so the post-run count is exact, not a bound.
 func checkCrossShard(p Program, want *OracleResult, base *core.Result) error {
 	reg := core.NewClassRegistry()
 	log := &PostReadLog{}

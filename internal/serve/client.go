@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"github.com/pmemgo/xfdetector/internal/core"
 )
 
 // Client speaks the daemon's HTTP/JSON API. The zero HTTP client is fine;
@@ -116,12 +114,6 @@ func (c *Client) Claim(leaseID string, fingerprint uint64) (ClaimReply, error) {
 	var reply ClaimReply
 	err := c.postJSON("/leases/"+leaseID+"/claim", map[string]any{"fpr": fingerprint}, &reply)
 	return reply, err
-}
-
-// Resolve publishes a class representative's outcome on the lease.
-func (c *Client) Resolve(leaseID string, fingerprint uint64, clean bool, reports []core.Report) error {
-	return c.postJSON("/leases/"+leaseID+"/resolve",
-		map[string]any{"fpr": fingerprint, "clean": clean, "reports": reports}, nil)
 }
 
 // SendLines streams a chunk of checkpoint JSONL (newline-terminated) to

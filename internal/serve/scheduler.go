@@ -106,8 +106,9 @@ type campaign struct {
 	state   string
 	failure string
 	result  *core.Result
-	// registry is the campaign's cross-shard crash-state class table;
-	// shard children claim classes over the lease API (Claim/Resolve) so
+	// registry is the campaign's cross-shard crash-state class table:
+	// shard children claim classes over the lease API, and each owned
+	// class settles when its representative's checkpoint line lands, so
 	// each class's representative post-runs on exactly one shard. identity
 	// keys the daemon's cross-campaign verdict cache; noCache opts the
 	// campaign out of it (-no-verdict-cache in the submitted args).
@@ -130,24 +131,6 @@ type lease struct {
 	sh       *shardState
 	worker   string
 	deadline time.Time
-	// A shard child resolves classes straight to the daemon, but its
-	// checkpoint lines travel through the worker, so a resolve can arrive
-	// before the line that carries the representative's reports. landed
-	// holds the fingerprints of the lease's per-point lines that reached
-	// the daemon; unlanded holds the classes the lease resolved clean (or
-	// had seeded from the cache) whose line has not. endLeaseLocked
-	// revokes the unlanded ones, so a rescheduled attempt re-runs those
-	// representatives instead of attributing to reports that were lost.
-	landed   map[uint64]bool
-	unlanded map[uint64]bool
-}
-
-// noteClean records that the lease resolved (or seeded) fingerprint's
-// class clean; see lease.unlanded.
-func (l *lease) noteClean(fingerprint uint64) {
-	if !l.landed[fingerprint] {
-		l.unlanded[fingerprint] = true
-	}
 }
 
 // Server is the campaign daemon's state: campaigns in submission order, a
@@ -167,9 +150,10 @@ type Server struct {
 	// Logf receives scheduler events; nil logs to stderr.
 	Logf func(format string, args ...any)
 	// Cache is the daemon's cross-campaign verdict cache (nil disables
-	// it): clean class verdicts resolved over any campaign's leases are
-	// persisted keyed by (campaign argv identity, crash-state fingerprint)
-	// and answer Claim calls from later campaigns with the same argv.
+	// it): clean class verdicts read off any campaign's landed checkpoint
+	// lines are persisted keyed by (campaign argv identity, crash-state
+	// fingerprint) and answer Claim calls from later campaigns with the
+	// same argv.
 	Cache *vcache.Cache
 	// Record, when non-nil, is the record-once launcher: it runs the
 	// campaign's deterministic pre-failure pass (the CLI execs itself with
@@ -226,11 +210,22 @@ var ownedFlags = []string{
 	"-verdict-cache", "-record", "-from-record",
 }
 
-// specHasFlag reports whether args sets the named boolean flag (in the
-// -name or -name=value form the CLI's flag forwarding emits).
+// flagName splits a command-line argument into its flag name and its
+// =value part. Go's flag package accepts --name as well as -name, so the
+// name comes back in the single-dash spelling either way.
+func flagName(arg string) (name, value string, hasValue bool) {
+	name, value, hasValue = strings.Cut(arg, "=")
+	if strings.HasPrefix(name, "--") {
+		name = name[1:]
+	}
+	return name, value, hasValue
+}
+
+// specHasFlag reports whether args sets the named boolean flag (in any
+// -name, --name or -name=value form).
 func specHasFlag(args []string, flag string) bool {
 	for _, arg := range args {
-		name, val, ok := strings.Cut(arg, "=")
+		name, val, ok := flagName(arg)
 		if name == flag && (!ok || val != "false") {
 			return true
 		}
@@ -245,7 +240,7 @@ func (s *Server) Submit(spec CampaignSpec) (string, error) {
 		return "", fmt.Errorf("campaign needs at least 1 shard, got %d", spec.Shards)
 	}
 	for _, arg := range spec.Args {
-		name := strings.SplitN(arg, "=", 2)[0]
+		name, _, _ := flagName(arg)
 		for _, owned := range ownedFlags {
 			if name == owned {
 				return "", fmt.Errorf("submission must not carry %s: the daemon owns shard layout and checkpoint transport", arg)
@@ -383,8 +378,6 @@ func (s *Server) Acquire(worker string, caps ...string) (*LeaseGrant, error) {
 				sh:       sh,
 				worker:   worker,
 				deadline: s.now().Add(s.LeaseTTL),
-				landed:   make(map[uint64]bool),
-				unlanded: make(map[uint64]bool),
 			}
 			sh.lease = l.id
 			s.leases[l.id] = l
@@ -453,8 +446,8 @@ func hasCap(caps []string, want string) bool {
 // expireLocked reschedules every shard whose lease missed its heartbeat
 // deadline. The expired lease's pending class claims are released so the
 // classes can be re-claimed — a representative whose worker died never
-// resolves, and holding its classes pending forever would stall every
-// other shard's parked members behind a verdict that will never come.
+// lands its line, and holding its classes pending forever would make every
+// other shard run them inline behind a verdict that will never come.
 func (s *Server) expireLocked() {
 	now := s.now()
 	for id, l := range s.leases {
@@ -468,19 +461,13 @@ func (s *Server) expireLocked() {
 	}
 }
 
-// endLeaseLocked drops a lease from the table and from its campaign's
-// class registry: its pending claims are released, and the classes it
-// resolved clean whose checkpoint lines never arrived are revoked.
+// endLeaseLocked drops a lease from the table and releases its pending
+// class claims: a class whose representative's line never landed was
+// never settled, so the next claimant owns it afresh.
 func (s *Server) endLeaseLocked(l *lease) {
 	delete(s.leases, l.id)
 	l.sh.lease = ""
 	l.c.registry.ReleaseOwner(l.id)
-	for fp := range l.unlanded {
-		l.c.registry.Revoke(fp)
-	}
-	if n := len(l.unlanded); n > 0 {
-		s.logf("lease %s ended before the checkpoint lines of %d clean class(es) arrived; revoked them for re-running", l.id, n)
-	}
 }
 
 // rescheduleLocked returns a shard to the pending queue with -resume, or
@@ -519,10 +506,13 @@ func (s *Server) Heartbeat(id string) error {
 }
 
 // AppendLines takes a chunk of checkpoint JSONL from a lease, appends it
-// durably to the shard's daemon-held file, and folds each line into the
-// campaign's online merge. Lines from an expired lease are rejected — its
-// shard may already be streaming from another worker, and double-counting
-// a summary would corrupt the bucket accounting.
+// durably to the shard's daemon-held file, folds each line into the
+// campaign's online merge, and lets each per-point line settle the class
+// its lease owns (resolveLineLocked) — only now, with the
+// representative's reports durable here, may other shards attribute to
+// them. Lines from an expired lease are rejected — its shard may already
+// be streaming from another worker, and double-counting a summary would
+// corrupt the bucket accounting.
 func (s *Server) AppendLines(id string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -532,12 +522,10 @@ func (s *Server) AppendLines(id string, data []byte) error {
 		return err
 	}
 
-	var lines []ckpt.Line
-	parsed, err := ckpt.Read(strings.NewReader(string(data)), "lease "+id)
+	lines, err := ckpt.Read(strings.NewReader(string(data)), "lease "+id)
 	if err != nil {
 		return fmt.Errorf("parsing streamed lines: %v", err)
 	}
-	lines = parsed
 
 	f, err := os.OpenFile(l.sh.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -558,10 +546,7 @@ func (s *Server) AppendLines(id string, data []byte) error {
 		if err := l.c.merger.Add(source, line); err != nil {
 			return err
 		}
-		if line.FPrint != 0 {
-			l.landed[line.FPrint] = true
-			delete(l.unlanded, line.FPrint)
-		}
+		s.resolveLineLocked(l, line)
 	}
 	l.sh.lines += len(lines)
 	return nil

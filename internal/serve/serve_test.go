@@ -51,8 +51,8 @@ func mustAcquire(t *testing.T, s *Server, worker string) *LeaseGrant {
 }
 
 // TestSubmitValidation: the daemon owns shard layout and checkpoint
-// transport, so submissions carrying those flags — or no shards — are
-// rejected.
+// transport, so submissions carrying those flags — in either of Go's
+// -name and --name spellings — or no shards are rejected.
 func TestSubmitValidation(t *testing.T) {
 	s, _ := testServer(t, time.Minute)
 	if _, err := s.Submit(CampaignSpec{Args: []string{"-workload", "btree"}, Shards: 0}); err == nil {
@@ -64,9 +64,34 @@ func TestSubmitValidation(t *testing.T) {
 		{"-spawn", "2"},
 		{"-resume"},
 		{"-checkpoint=-"},
+		{"--checkpoint", "x.ckpt"},
+		{"--keys-out=/tmp/k"},
+		{"--pool-file", "/tmp/p"},
+		{"--record=/tmp/r"},
 	} {
 		if _, err := s.Submit(CampaignSpec{Args: bad, Shards: 1}); err == nil {
 			t.Errorf("submission with %v accepted; the daemon owns that flag", bad)
+		}
+	}
+}
+
+// TestSpecHasFlag: the daemon's boolean-flag probe reads every spelling
+// Go's flag package accepts, so a --no-fast-forward campaign is not
+// recorded and a --no-verdict-cache campaign skips the cache.
+func TestSpecHasFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want bool
+	}{
+		{[]string{"-no-fast-forward"}, true},
+		{[]string{"--no-fast-forward"}, true},
+		{[]string{"--no-fast-forward=true"}, true},
+		{[]string{"-no-fast-forward=false"}, false},
+		{[]string{"--no-fast-forward=false"}, false},
+		{[]string{"-workload", "btree"}, false},
+	} {
+		if got := specHasFlag(tc.args, "-no-fast-forward"); got != tc.want {
+			t.Errorf("specHasFlag(%q, -no-fast-forward) = %v, want %v", tc.args, got, tc.want)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 
 	"github.com/pmemgo/xfdetector/internal/ckpt"
-	"github.com/pmemgo/xfdetector/internal/core"
 )
 
 // ErrLeaseGone reports a lease the daemon no longer recognizes: expired
@@ -56,10 +55,12 @@ type CampaignStatus struct {
 	Reports int     `json:"reports"`
 	Buckets Buckets `json:"buckets"`
 	// Registry-side verdict-sharing counters, live while the campaign
-	// runs: distinct crash-state classes claimed over the lease API, clean
-	// verdicts attributed to non-owning shards, and claims answered from
-	// the daemon's cross-campaign cache. (Buckets carries the shard-side
-	// view summed from completed summaries; these count as claims happen.)
+	// runs: distinct crash-state classes claimed over the lease API (a
+	// class answered from the cache never enters the registry and is not
+	// counted), clean verdicts attributed to non-owning shards, and claims
+	// answered from the daemon's cross-campaign cache. (Buckets carries the
+	// shard-side view summed from completed summaries; these count as
+	// claims happen.)
 	CrashStateClasses int    `json:"crash_state_classes"`
 	CrossShardPruned  int    `json:"cross_shard_pruned"`
 	CacheHits         int    `json:"cache_hits"`
@@ -165,10 +166,13 @@ func (s *Server) CampaignStatus(id string) (CampaignStatus, error) {
 //	POST /lease                  {"worker":"w1","caps":["file-backed"]} -> LeaseGrant | 204
 //	POST /leases/{id}/lines      raw JSONL chunk -> 200 | 409 lease gone
 //	POST /leases/{id}/heartbeat  -> 200 | 409
+//	GET  /leases/{id}/artifact   -> raw XFDR bytes | 404 none | 409
 //	POST /leases/{id}/claim      {"fpr":N} -> {"verdict":"own|run|clean|cached","reports":[...]} | 409
-//	POST /leases/{id}/resolve    {"fpr":N,"clean":true,"reports":[...]} -> 200 | 409
 //	POST /leases/{id}/done       {"code":0,"released":false} -> 200 | 409
 //	GET  /healthz                -> 200
+//
+// A claimed class settles when its representative's per-point line
+// arrives on /lines (AppendLines); no endpoint carries verdicts.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -273,19 +277,6 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, reply)
-	})
-
-	mux.HandleFunc("POST /leases/{id}/resolve", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			FPrint  uint64        `json:"fpr"`
-			Clean   bool          `json:"clean"`
-			Reports []core.Report `json:"reports"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		leaseErr(w, s.Resolve(r.PathValue("id"), req.FPrint, req.Clean, req.Reports))
 	})
 
 	mux.HandleFunc("POST /leases/{id}/done", func(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/pmemgo/xfdetector/internal/ckpt"
 	"github.com/pmemgo/xfdetector/internal/core"
 )
 
@@ -15,11 +16,15 @@ import (
 // daemon holds one core.ClassRegistry per campaign; a shard child — handed
 // its lease through the environment (VerdictURLEnv/VerdictLeaseEnv by the
 // worker) — claims each class the first time it reaches it. The first
-// claimant post-runs the representative and publishes the outcome with
-// Resolve; later claimants on other shards attribute the clean verdict
-// without running anything. The daemon also fronts its cross-campaign
-// on-disk cache here: a claim whose (argv identity, fingerprint) pair is
-// already cached is answered "cached" with the stored reports, so repeat
+// claimant post-runs the representative; later claimants on other shards
+// attribute the clean verdict without running anything. The verdict has
+// exactly one way in: the representative's checkpoint line, which travels
+// through the worker like every other line. AppendLines settles the class
+// once that line is durable in the daemon-held checkpoint, so no claimant
+// ever attributes to reports the daemon does not hold. The daemon also
+// fronts its cross-campaign on-disk cache here: a claim on a class this
+// campaign has not seen, whose (argv identity, fingerprint) pair is
+// cached, is answered "cached" with the stored reports, so repeat
 // campaigns skip even the first representative run.
 
 // Environment variables the worker sets on shard children so the runner
@@ -45,9 +50,10 @@ type ClaimReply struct {
 }
 
 // Claim files a crash-state class claim for the lease's shard and renews
-// the lease heartbeat. An "own" answer is first checked against the
-// daemon's cross-campaign cache: a hit converts the fresh ownership into a
-// seeded clean class and answers "cached" with the stored reports.
+// the lease heartbeat. A fingerprint this campaign has not seen is first
+// looked up in the daemon's cross-campaign cache; a hit is answered
+// "cached" with the stored reports and never enters the registry, so every
+// shard reaching the class re-seeds those reports itself.
 func (s *Server) Claim(leaseID string, fingerprint uint64) (ClaimReply, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -57,16 +63,13 @@ func (s *Server) Claim(leaseID string, fingerprint uint64) (ClaimReply, error) {
 		return ClaimReply{}, err
 	}
 	c := l.c
-	claim := c.registry.Claim(leaseID, fingerprint)
-	if claim.Verdict == core.VerdictOwn && !c.noCache && s.Cache != nil {
+	if !c.noCache && s.Cache != nil && !c.registry.Known(fingerprint) {
 		if reports, ok := s.Cache.Lookup(c.identity, fingerprint); ok {
-			c.registry.SeedClean(leaseID, fingerprint, reports)
-			l.noteClean(fingerprint)
 			c.cacheHits++
 			return ClaimReply{Verdict: wireCached, Reports: reports}, nil
 		}
 	}
-	switch claim.Verdict {
+	switch c.registry.Claim(leaseID, fingerprint).Verdict {
 	case core.VerdictOwn:
 		return ClaimReply{Verdict: wireOwn}, nil
 	case core.VerdictClean:
@@ -76,36 +79,40 @@ func (s *Server) Claim(leaseID string, fingerprint uint64) (ClaimReply, error) {
 	}
 }
 
-// Resolve records a representative's outcome from the owning lease and
-// renews the heartbeat. Clean verdicts flow into the cross-campaign cache
-// (unless the campaign opted out); the registry itself drops resolves from
-// anyone but the pending owner, so a zombie lease can never attribute.
-func (s *Server) Resolve(leaseID string, fingerprint uint64, clean bool, reports []core.Report) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	l, err := s.activeLease(leaseID)
-	if err != nil {
-		return err
+// resolveLineLocked lets a landed per-point line settle its class when the
+// line's lease holds the class's pending claim: dirty if the line carries
+// a PostFailureFault (core puts a faulted post-run's fault on its own line
+// even when already reported), clean otherwise, with the line's reports
+// stored in the cross-campaign cache unless the campaign opted out. Lines
+// without a fingerprint (summaries, -no-prune runs), lines from
+// non-owners, and the owner's later lines for a settled class change
+// nothing.
+func (s *Server) resolveLineLocked(l *lease, line ckpt.Line) {
+	if line.FPrint == 0 {
+		return
 	}
-	c := l.c
-	if !c.registry.Resolve(leaseID, fingerprint, clean, reports) {
-		return nil
-	}
-	l.noteClean(fingerprint)
-	if !c.noCache && s.Cache != nil {
-		if err := s.Cache.Store(c.identity, fingerprint, reports); err != nil {
-			s.logf("verdict cache store failed (degrading to misses): %v", err)
+	clean := true
+	for _, rep := range line.Reports {
+		if rep.Class == core.PostFailureFault {
+			clean = false
+			break
 		}
 	}
-	return nil
+	c := l.c
+	if !c.registry.Resolve(l.id, line.FPrint, clean) || c.noCache || s.Cache == nil {
+		return
+	}
+	if err := s.Cache.Store(c.identity, line.FPrint, line.Reports); err != nil {
+		s.logf("verdict cache store failed (degrading to misses): %v", err)
+	}
 }
 
 // LeaseVerdicts adapts the daemon's claim API to a runner's VerdictSource:
 // the shard child constructs one from VerdictURLEnv/VerdictLeaseEnv. It
-// fails open — a claim the daemon cannot answer (network error, expired
-// lease) degrades to VerdictRun, PR 6's in-process pruning, never to an
-// unvalidated attribution.
+// only claims; the daemon reads each owned class's verdict off the
+// representative's checkpoint line. It fails open — a claim the daemon
+// cannot answer (network error, expired lease) degrades to VerdictRun,
+// PR 6's in-process pruning, never to an unvalidated attribution.
 type LeaseVerdicts struct {
 	Client *Client
 	Lease  string
@@ -130,10 +137,6 @@ func (v *LeaseVerdicts) Claim(fingerprint uint64) core.ClassClaim {
 	}
 }
 
-// Resolve publishes the representative's outcome, best-effort: a lost
-// resolve leaves the class pending until the lease ends and is released.
-func (v *LeaseVerdicts) Resolve(fingerprint uint64, clean bool, fresh []core.Report) {
-	if err := v.Client.Resolve(v.Lease, fingerprint, clean, fresh); err != nil {
-		fmt.Fprintf(os.Stderr, "xfdetector: class resolve failed (class stays pending until lease release): %v\n", err)
-	}
-}
+// Resolve is a no-op: the representative's outcome reaches the daemon on
+// its checkpoint line, which the worker streams (see Server.AppendLines).
+func (v *LeaseVerdicts) Resolve(uint64, bool, []core.Report) {}
