@@ -32,33 +32,40 @@ func refCallerIP() (loc string, depth int) {
 	}
 }
 
-// ipProbe is a sink that, for every delivered entry, also runs the bounded
-// walk and the reference walk from its own Record frame. Record is called
-// by deliver, a sibling of the capture helper under the same accessor
-// frames, so both walks see the accessor chain plus one more in-package
-// frame than the production capture did: the Persist chain (deliver,
-// emit, CLWB/SFence, Persist) then fills the bounded walk's first window
-// and exercises its continuation.
+// ipProbe is a sink that, for every delivered entry, also runs the walk
+// under test and the reference walk from its own Record frame (Record is
+// defined per architecture, next to the walk it runs). Record is called by
+// deliver, a sibling of the capture helper under the same accessor frames,
+// so both walks see the accessor chain plus one more in-package frame than
+// the production capture did: the Persist chain (deliver, emit,
+// CLWB/SFence, Persist) is four in-package frames deep.
 type ipProbe struct {
 	got []ipProbed
 }
 
 type ipProbed struct {
-	kind                         trace.Kind
-	captured, bounded, reference string
-	depth                        int
+	kind                        trace.Kind
+	captured, walked, reference string
+	depth                       int
 }
 
-func (r *ipProbe) Record(e trace.Entry) {
-	bounded := callerIP()
-	reference, depth := refCallerIP()
-	r.got = append(r.got, ipProbed{kind: e.Kind, captured: e.IP, bounded: bounded, reference: reference, depth: depth})
-}
+// promoted reaches the pool's accessors through an embedding value type.
+type promoted struct{ *Pool }
 
-// TestCallerIPMatchesFullWalk: for every accessor shape, on a root pool
-// and on a copy-on-write post-failure pool, the bounded IP walk returns
-// exactly what the 16-PC reference walk returns, and the entry's captured
-// IP names the calling line in this file.
+type storer interface{ Store64(addr, v uint64) }
+
+// storeThrough calls Store64 through an interface, so the call passes the
+// compiler-generated wrapper for promoted's Store64: runtime.Callers elides
+// that frame, and a frame-pointer walk sees it.
+//
+//go:noinline
+func storeThrough(s storer) { s.Store64(8, 1) }
+
+// TestCallerIPMatchesFullWalk: for every accessor shape, on a root pool, on
+// a copy-on-write post-failure pool in both stages, the IP walk returns
+// exactly what the 16-PC reference walk returns, and the entry carries the
+// reference IP exactly for the (stage, kind) pairs some consumer reads,
+// and no IP otherwise.
 func TestCallerIPMatchesFullWalk(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -71,6 +78,7 @@ func TestCallerIPMatchesFullWalk(t *testing.T) {
 		{"Store16", []trace.Kind{trace.Write}, func(p *Pool) { p.Store16(2, 1) }},
 		{"Store32", []trace.Kind{trace.Write}, func(p *Pool) { p.Store32(4, 1) }},
 		{"Store64", []trace.Kind{trace.Write}, func(p *Pool) { p.Store64(8, 1) }},
+		{"Store64/promoted", []trace.Kind{trace.Write}, func(p *Pool) { storeThrough(promoted{p}) }},
 		{"Load", []trace.Kind{trace.Read}, func(p *Pool) { p.Load(0, make([]byte, 3)) }},
 		{"Load8", []trace.Kind{trace.Read}, func(p *Pool) { p.Load8(1) }},
 		{"Load16", []trace.Kind{trace.Read}, func(p *Pool) { p.Load16(2) }},
@@ -83,24 +91,45 @@ func TestCallerIPMatchesFullWalk(t *testing.T) {
 		{"SFence", []trace.Kind{trace.SFence}, func(p *Pool) { p.SFence() }},
 		{"Persist", []trace.Kind{trace.CLWB, trace.SFence}, func(p *Pool) { p.Persist(0, 8) }},
 		{"Announce", []trace.Kind{trace.TxBegin}, func(p *Pool) { p.Announce(trace.TxBegin, 0, 0, "tx") }},
+		{"Announce/TxAdd", []trace.Kind{trace.TxAdd}, func(p *Pool) { p.Announce(trace.TxAdd, 0, 16, "tx") }},
+		{"Announce/TxAlloc", []trace.Kind{trace.TxAlloc}, func(p *Pool) { p.Announce(trace.TxAlloc, 64, 16, "tx") }},
+		{"Announce/AtomicAlloc", []trace.Kind{trace.AtomicAlloc}, func(p *Pool) { p.Announce(trace.AtomicAlloc, 64, 16, "alloc") }},
+		{"Announce/TxCommit", []trace.Kind{trace.TxCommit}, func(p *Pool) { p.Announce(trace.TxCommit, 0, 0, "tx") }},
 		{"AnnounceEntry", []trace.Kind{trace.RegCommitVar}, func(p *Pool) {
 			p.AnnounceEntry(trace.Entry{Kind: trace.RegCommitVar, Addr: 0, Size: 8})
 		}},
+		{"AnnounceEntry/CommitVarWrite", []trace.Kind{trace.CommitVarWrite}, func(p *Pool) {
+			p.AnnounceEntry(trace.Entry{Kind: trace.CommitVarWrite, Addr: 0, Size: 8})
+		}},
+		{"AnnounceEntry/Read", []trace.Kind{trace.Read}, func(p *Pool) {
+			p.AnnounceEntry(trace.Entry{Kind: trace.Read, Addr: 0, Size: 8})
+		}},
+	}
+	// readIP pins ipReaders: the kinds, per stage, whose IP a consumer
+	// reads.
+	readIP := map[trace.Stage]map[trace.Kind]bool{
+		trace.PreFailure: {trace.Write: true, trace.NTStore: true, trace.CLWB: true, trace.CLFlush: true,
+			trace.TxAdd: true, trace.AtomicAlloc: true, trace.CommitVarWrite: true},
+		trace.PostFailure: {trace.Read: true},
 	}
 	root := New("root", 8192)
 	root.Store64(4096, 1)
+	post := FromSnapshot("post", root.TakeSnapshot())
 	pools := []struct {
-		name string
-		p    *Pool
+		name  string
+		p     *Pool
+		stage trace.Stage
 	}{
-		{"root", root},
-		{"from-snapshot", FromSnapshot("post", root.TakeSnapshot())},
+		{"root", root, trace.PreFailure},
+		{"from-snapshot", post, trace.PreFailure},
+		{"from-snapshot/post-failure", post, trace.PostFailure},
 	}
 	deepest := 0
 	for _, pc := range pools {
 		for _, sh := range shapes {
 			t.Run(pc.name+"/"+sh.name, func(t *testing.T) {
 				probe := &ipProbe{}
+				pc.p.SetStage(pc.stage)
 				pc.p.SetSink(probe)
 				defer pc.p.SetSink(nil)
 				sh.op(pc.p)
@@ -115,17 +144,23 @@ func TestCallerIPMatchesFullWalk(t *testing.T) {
 					if !strings.HasPrefix(g.reference, "pmem/ipcache_test.go:") {
 						t.Errorf("entry %d: reference walk = %q, want a line in this file", i, g.reference)
 					}
-					if g.bounded != g.reference {
-						t.Errorf("entry %d: bounded walk = %q, reference walk = %q", i, g.bounded, g.reference)
+					if g.walked != g.reference {
+						t.Errorf("entry %d: walk = %q, reference walk = %q", i, g.walked, g.reference)
 					}
-					if g.captured != g.reference {
-						t.Errorf("entry %d: captured IP = %q, reference walk = %q", i, g.captured, g.reference)
+					want := ""
+					if readIP[pc.stage][g.kind] {
+						want = g.reference
+					}
+					if g.captured != want {
+						t.Errorf("entry %d (%v, %v): captured IP = %q, want %q", i, pc.stage, g.kind, g.captured, want)
 					}
 				}
 			})
 		}
 	}
-	if deepest < ipFirstPCs {
-		t.Errorf("deepest probed chain has %d in-package frames; the bounded walk's continuation past %d went unexercised", deepest, ipFirstPCs)
+	// The fallback walk's first window is four PCs; the deepest chain must
+	// reach past it.
+	if deepest < 4 {
+		t.Errorf("deepest probed chain has %d in-package frames, want at least 4", deepest)
 	}
 }

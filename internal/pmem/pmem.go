@@ -22,9 +22,9 @@
 // across executions (the paper achieves the same with PMDK's
 // PMEM_MMAP_HINT address derandomization).
 //
-// Every operation is reported to the attached trace Sink together with the
+// Every operation is reported to the attached trace Sink, together with the
 // source location of the caller (standing in for the instruction pointer
-// that Pin records in the paper).
+// that Pin records in the paper) when a checker reads it (ipcache.go).
 package pmem
 
 import (
@@ -205,7 +205,8 @@ func (p *Pool) SetTID(tid uint32) {
 }
 
 // SetIPCapture toggles source-location capture. Disabling it removes the
-// runtime.Callers cost; reports then lack file:line information.
+// stack walk and its PC resolution; reports then lack file:line
+// information.
 func (p *Pool) SetIPCapture(on bool) {
 	p.mu.Lock()
 	p.ipEnabled = on
@@ -282,7 +283,7 @@ func (p *Pool) captureLocked(kind trace.Kind, addr, size uint64, fn string) (*Fa
 		InLibrary:     p.libDepth > 0,
 		SkipDetection: p.skipDet > 0,
 	}
-	if p.ipEnabled {
+	if p.ipEnabled && wantIP(p.stage, kind) {
 		e.IP = callerIP()
 	}
 	return p.faults, p.sink, e
@@ -507,8 +508,8 @@ func (p *Pool) Announce(kind trace.Kind, addr, size uint64, fn string) {
 }
 
 // AnnounceEntry records e after filling in the pool's current stage, thread
-// id, library/skip flags and caller location. Kind, addresses and function
-// name are taken from e.
+// id, library/skip flags and, where a consumer reads it and e has none, the
+// caller location. Kind, addresses and function name are taken from e.
 func (p *Pool) AnnounceEntry(e trace.Entry) {
 	if e.Kind.IsMemOp() {
 		p.check(e.Kind.String(), e.Addr, e.Size)
@@ -523,7 +524,7 @@ func (p *Pool) AnnounceEntry(e trace.Entry) {
 	e.TID = p.tid
 	e.InLibrary = p.libDepth > 0
 	e.SkipDetection = p.skipDet > 0
-	if p.ipEnabled && e.IP == "" {
+	if p.ipEnabled && e.IP == "" && wantIP(e.Stage, e.Kind) {
 		e.IP = callerIP()
 	}
 	faults := p.faults

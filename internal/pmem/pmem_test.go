@@ -270,17 +270,24 @@ func TestUnbalancedRegionPanics(t *testing.T) {
 	}
 }
 
+// TestAnnounceEntry: AnnounceEntry keeps e's kind and ranges, and captures
+// the caller's location for a kind a consumer reads (TX_ADD) but not for
+// one nothing reads (REG_COMMIT_RANGE).
 func TestAnnounceEntry(t *testing.T) {
 	p := New("x", 4096)
 	rec := &recorder{}
 	p.SetSink(rec)
 	p.AnnounceEntry(trace.Entry{Kind: trace.RegCommitRange, Addr: 0, Size: 8, Addr2: 64, Size2: 8})
-	e := rec.entries[0]
-	if e.Kind != trace.RegCommitRange || e.Addr2 != 64 || e.Size2 != 8 {
+	p.AnnounceEntry(trace.Entry{Kind: trace.TxAdd, Addr: 64, Size: 8})
+	if e := rec.entries[0]; e.Kind != trace.RegCommitRange || e.Addr2 != 64 || e.Size2 != 8 {
 		t.Fatalf("announced entry = %+v", e)
+	} else if e.IP != "" {
+		t.Errorf("REG_COMMIT_RANGE entry carries IP %q that nothing reads", e.IP)
 	}
-	if e.IP == "" {
-		t.Error("announced entry lacks caller location")
+	if e := rec.entries[1]; e.Kind != trace.TxAdd || e.Addr != 64 || e.Size != 8 {
+		t.Fatalf("announced entry = %+v", e)
+	} else if !strings.Contains(e.IP, "pmem_test.go") {
+		t.Errorf("TX_ADD entry IP = %q, want the caller's line", e.IP)
 	}
 }
 

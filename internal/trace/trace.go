@@ -164,7 +164,7 @@ type Entry struct {
 	Size  uint64 // number of bytes touched (0 for pure ordering ops)
 	Addr2 uint64 // secondary range start (RegCommitRange's associated set)
 	Size2 uint64 // secondary range size
-	IP    string // source location ("file.go:123") of the operation
+	IP    string // source location ("file.go:123"); pmem fills it only where a checker reads it
 	Func  string // traced library function name for Func*/Tx* kinds
 	Kind  Kind
 	Stage Stage
