@@ -243,18 +243,14 @@ func BenchmarkAblationPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkCrossShardPruning measures the cross-shard verdict channel
-// (PR 9): a three-shard campaign whose shards share a class registry —
-// the in-process form of the -serve daemon's registry, settled by direct
-// Resolve calls where the daemon reads the representative's checkpoint
-// line — against the same fleet with the channel disabled
-// (-no-cross-shard-prune), where each shard prunes only within its own
-// failure-point partition. Two campaigns: the steady-state update loop,
-// whose crash-state classes all span the round-robin shard split (the
-// shape the channel exists for — post-runs drop toward 1/shards), and
-// B-Tree under the update-heavy ablation configuration as the
-// real-workload point. TestCrossShardPruningAcceptance pins the >= 2x
-// update-loop claim and the byte-identical merged key sets.
+// BenchmarkCrossShardPruning measures a three-shard campaign partitioned
+// by crash-state class: each shard fingerprints every failure point and
+// runs only the classes it owns, so the fleet's post-runs equal the
+// single-process pruned run's. Two campaigns: the steady-state update
+// loop, whose classes span the whole pre-failure stage, and B-Tree under
+// the update-heavy ablation configuration as the real-workload point.
+// TestCrossShardPruningAcceptance pins the post-run equality and the
+// byte-identical merged key sets.
 func BenchmarkCrossShardPruning(b *testing.B) {
 	const shards = 3
 	campaigns := []struct {
@@ -266,43 +262,26 @@ func BenchmarkCrossShardPruning(b *testing.B) {
 	}
 	for _, c := range campaigns {
 		c := c
-		for _, shared := range []bool{true, false} {
-			name, shared := "Shared", shared
-			if !shared {
-				name = "NoCrossShard"
-			}
-			b.Run(c.name+"/"+name, func(b *testing.B) {
-				var posts, cross, postSec float64
-				for i := 0; i < b.N; i++ {
-					var reg *core.ClassRegistry
-					if shared {
-						reg = core.NewClassRegistry()
+		b.Run(c.name, func(b *testing.B) {
+			var posts, postSec float64
+			for i := 0; i < b.N; i++ {
+				for idx := 0; idx < shards; idx++ {
+					res, err := core.Run(core.Config{
+						PoolSize:   bench.DefaultPoolSize,
+						ShardCount: shards,
+						ShardIndex: idx,
+					}, c.target())
+					if err != nil {
+						b.Fatal(err)
 					}
-					for idx := 0; idx < shards; idx++ {
-						var v core.VerdictSource
-						if reg != nil {
-							v = reg.Bind(fmt.Sprintf("shard%d", idx))
-						}
-						res, err := core.Run(core.Config{
-							PoolSize:   bench.DefaultPoolSize,
-							ShardCount: shards,
-							ShardIndex: idx,
-							Verdicts:   v,
-						}, c.target())
-						if err != nil {
-							b.Fatal(err)
-						}
-						posts += float64(res.PostRuns)
-						cross += float64(res.CrossShardPrunedFailurePoints)
-						postSec += res.PostSeconds
-					}
+					posts += float64(res.PostRuns)
+					postSec += res.PostSeconds
 				}
-				n := float64(b.N)
-				b.ReportMetric(posts/n, "postruns/op")
-				b.ReportMetric(cross/n, "crossshard/op")
-				b.ReportMetric(postSec/n, "post-s/op")
-			})
-		}
+			}
+			n := float64(b.N)
+			b.ReportMetric(posts/n, "postruns/op")
+			b.ReportMetric(postSec/n, "post-s/op")
+		})
 	}
 }
 

@@ -245,6 +245,83 @@ func TestMergedBucketAccounting(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesMixedPartitions: a pruning shard owns crash-state
+// classes, a -no-prune shard owns failure points fp % N, so shard 0 of the
+// one and shard 1 of the other cover overlapping and missing points. The
+// summary lines name the scheme and -merge refuses the mix with exit 2.
+func TestMergeRefusesMixedPartitions(t *testing.T) {
+	const base = "-workload btree -init 2 -test 2 -patch btree-skip-add-leaf -shards 2"
+	dir := t.TempDir()
+	byClass, byPoint := filepath.Join(dir, "class0.ckpt"), filepath.Join(dir, "point1.ckpt")
+	for _, run := range []string{
+		base + " -shard-index 0 -checkpoint " + byClass,
+		base + " -no-prune -shard-index 1 -checkpoint " + byPoint,
+	} {
+		if code, out := runCLI(t, run); code != 0 && code != 1 {
+			t.Fatalf("%q exited %d:\n%s", run, code, out)
+		}
+	}
+	for path, want := range map[string]string{byClass: core.PartitionByClass, byPoint: core.PartitionByFailurePoint} {
+		lines, err := ckpt.ReadFile(path)
+		if err != nil || len(lines) == 0 || lines[len(lines)-1].Partition != want {
+			t.Fatalf("%s: summary does not record partition %q (err %v)", path, want, err)
+		}
+	}
+	code, out := runCLI(t, "-merge "+byClass+" "+byPoint)
+	if code != 2 || !strings.Contains(out, "refusing to mix") {
+		t.Errorf("mixed-partition merge exited %d, want 2 with a refusal:\n%s", code, out)
+	}
+}
+
+// TestMergeLegacyCrossShardCheckpoints: shard checkpoints written before
+// class sharding — failure-point partition, no partition field, a
+// cross_shard bucket on the summary — still merge complete, with the
+// bucket identity intact.
+func TestMergeLegacyCrossShardCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	race := `{"class":0,"addr":64,"size":8,"reader_ip":"r.go:1","writer_ip":"w.go:2","failure_point":0}`
+	legacy := map[string]string{
+		// Shard 0 ran points 0 and 2, and attributed point 4 from shard 1's
+		// representative of the same class.
+		"s0.ckpt": `{"fp":0,"fpr":11,"reports":[` + race + `]}
+{"fp":2,"fpr":22}
+{"fp":4,"fpr":11}
+{"fp":-1,"total":6,"shards":2,"classes":2,"post_runs":2,"cross_shard":1,"other_shard":3}
+`,
+		"s1.ckpt": `{"fp":1,"fpr":11}
+{"fp":3,"fpr":33}
+{"fp":5,"fpr":55}
+{"fp":-1,"total":6,"shards":2,"classes":2,"post_runs":2,"pruned":1,"other_shard":3}
+`,
+	}
+	var paths []string
+	for name, body := range legacy {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	res, err := mergeCheckpoints(paths, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Incomplete || res.FailurePoints != 6 || len(res.Reports) != 1 {
+		t.Fatalf("legacy merge: incomplete=%v (%s), %d failure points, %d reports; want complete, 6, 1",
+			res.Incomplete, res.IncompleteReason, res.FailurePoints, len(res.Reports))
+	}
+	if res.CrossShardPrunedFailurePoints != 1 || res.PostRuns != 4 || res.PrunedFailurePoints != 1 {
+		t.Errorf("legacy buckets: cross-shard %d, post-runs %d, pruned %d; want 1, 4, 1",
+			res.CrossShardPrunedFailurePoints, res.PostRuns, res.PrunedFailurePoints)
+	}
+	if got := res.BucketedFailurePoints(); got != res.FailurePoints {
+		t.Errorf("legacy merge breaks the bucket identity: buckets sum to %d, %d failure points", got, res.FailurePoints)
+	}
+	if code, out := runCLI(t, "-merge "+strings.Join(paths, " ")); code != 1 || !strings.Contains(out, "cross-shard: 1") {
+		t.Errorf("-merge of the legacy pair exited %d, want 1 with the cross-shard bucket:\n%s", code, out)
+	}
+}
+
 // TestWriteKeysEmptySet: zero reports must write zero bytes — the old
 // rendering (a single newline) was byte-identical to a set holding one
 // empty key, confusing the CI diffs of clean workloads.

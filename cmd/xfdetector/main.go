@@ -74,42 +74,41 @@ func main() {
 func realMain(args []string) int {
 	fs := flag.NewFlagSet("xfdetector", flag.ContinueOnError)
 	var (
-		workload     = fs.String("workload", "btree", "btree | ctree | rbtree | hashmap-tx | hashmap-atomic | redis | memcached")
-		initSize     = fs.Int("init", 5, "insertions while initializing the PM image (INITSIZE)")
-		testSize     = fs.Int("test", 5, "insertions in the pre-failure stage (TESTSIZE)")
-		updates      = fs.Int("updates", 1, "value updates in the pre-failure stage")
-		removes      = fs.Int("removes", 1, "removals in the pre-failure stage")
-		patch        = fs.String("patch", "", "synthetic bug to inject (see -list); empty = correct program")
-		list         = fs.Bool("list", false, "list available patches and exit")
-		mode         = fs.String("mode", "detect", "detect | trace | original (the Fig. 12b configurations)")
-		maxFP        = fs.Int("max-failure-points", 0, "cap on injected failure points (0 = unlimited)")
-		poolMB       = fs.Int("pool-mb", 4, "PM pool size in MiB")
-		workers      = fs.Int("workers", 1, "post-failure worker goroutines (>1 enables parallel detection)")
-		postTimeout  = fs.Duration("post-timeout", 0, "wall-clock deadline per post-failure run (0 = none)")
-		noPrune      = fs.Bool("no-prune", false, "run every failure point instead of testing one representative per crash-state class (ablation; the report-key set is identical either way)")
-		vcachePath   = fs.String("verdict-cache", "", "consult and extend this fsynced on-disk crash-state verdict cache, keyed by (program/config identity, fingerprint): failure points whose class a previous campaign of the identical program resolved cleanly skip their post-runs (CacheHits). With -spawn it is the in-process daemon's cache, one file for every shard, keyed by the campaign's argument vector; -serve holds its own under -workdir")
-		noCrossShard = fs.Bool("no-cross-shard-prune", false, "ablation: daemon-scheduled shards run every class representative themselves instead of claiming classes against the campaign's cross-shard registry (the report-key set is identical either way)")
-		noVCache     = fs.Bool("no-verdict-cache", false, "ablation: ignore the on-disk verdict cache (local -verdict-cache and the -serve daemon's cache alike)")
-		updRounds    = fs.Int("update-rounds", 1, "repeat the -updates pass this many times with identical values (the pruning ablation's repetitive-loop shape)")
-		ckptPath     = fs.String("checkpoint", "", "append completed failure points to this JSONL file")
-		resume       = fs.Bool("resume", false, "skip failure points already recorded in -checkpoint (and reopen the -pool-file, skipping the writeback of already-persisted pages)")
-		poolFile     = fs.String("pool-file", "", "back the PM pool with this mmap'd file, persisted with range-batched msync at every ordering point and failure-point snapshot; a fresh campaign refuses an existing file (-resume reopens it). With -spawn the value marks the request and each shard gets <workdir>/c<N>/shard<i>.pool")
-		workdir      = fs.String("workdir", "", "daemon directory for -spawn and -serve (default: a fresh temporary directory): each campaign gets the first free c<N>/ with its shard checkpoints (shard<i>.ckpt) and pool files (shard<i>.pool)")
-		keysOut      = fs.String("keys-out", "", "write the sorted deduplicated report keys to this file")
-		recordPath   = fs.String("record", "", "record the deterministic pre-failure pass once into this artifact (trace + engine checkpoints + pool deltas) and exit without post-failure runs; shards, -resume, and -serve workers replay it with -from-record instead of re-executing the program")
-		fromRecord   = fs.String("from-record", "", "replay the pre-failure stage from this recorded artifact instead of executing the program, fast-forwarding through the nearest engine checkpoint below the first owned failure point; the artifact's program identity must match this campaign's flags")
-		noFF         = fs.Bool("no-fast-forward", false, "ablation: the campaign daemon (-spawn, -submit) skips the record-once pass and every shard re-executes the pre-failure stage live (the report-key set is identical either way)")
-		shards       = fs.Int("shards", 0, "total shards of a partitioned campaign (this process runs failure points fp%%shards == shard-index)")
-		shardIndex   = fs.Int("shard-index", -1, "this process's shard in [0, shards)")
-		spawn        = fs.Int("spawn", 0, "run the campaign as this many shards on a campaign daemon and as many worker loops inside this process (-serve, N x -worker and -submit in one command): crashed shards are rescheduled with -resume and the merged report is printed")
-		merge        = fs.Bool("merge", false, "merge mode: union the checkpoint files given as arguments into one report (use before positional operands, e.g. -merge -keys-out k.txt a.ckpt b.ckpt)")
-		serveAddr    = fs.String("serve", "", "run the distributed campaign daemon on this address (host:port); campaigns arrive over the HTTP/JSON API and are scheduled as shard leases onto -worker processes")
-		workerURL    = fs.String("worker", "", "join the fleet of the campaign daemon at this URL: poll for shard leases, run each shard in a subprocess, and stream its checkpoint lines back")
-		submitURL    = fs.String("submit", "", "submit the campaign described by the workload flags to the daemon at this URL (-shards N picks the shard count), wait for it, and print the merged report")
-		leaseTTL     = fs.Duration("lease-ttl", 15*time.Second, "daemon heartbeat deadline per lease: a worker silent this long loses the lease and its shard is rescheduled with -resume")
-		heartbeatIv  = fs.Duration("heartbeat", 5*time.Second, "worker keepalive period while a shard child runs")
-		killGrace    = fs.Duration("kill-grace", serve.DefaultKillGrace, "grace period after SIGTERM before a shard or record child that ignores cancellation is SIGKILLed (worker lease teardown, daemon shutdown)")
-		verbose      = fs.Bool("v", false, "print per-run statistics even when clean")
+		workload    = fs.String("workload", "btree", "btree | ctree | rbtree | hashmap-tx | hashmap-atomic | redis | memcached")
+		initSize    = fs.Int("init", 5, "insertions while initializing the PM image (INITSIZE)")
+		testSize    = fs.Int("test", 5, "insertions in the pre-failure stage (TESTSIZE)")
+		updates     = fs.Int("updates", 1, "value updates in the pre-failure stage")
+		removes     = fs.Int("removes", 1, "removals in the pre-failure stage")
+		patch       = fs.String("patch", "", "synthetic bug to inject (see -list); empty = correct program")
+		list        = fs.Bool("list", false, "list available patches and exit")
+		mode        = fs.String("mode", "detect", "detect | trace | original (the Fig. 12b configurations)")
+		maxFP       = fs.Int("max-failure-points", 0, "cap on injected failure points (0 = unlimited)")
+		poolMB      = fs.Int("pool-mb", 4, "PM pool size in MiB")
+		workers     = fs.Int("workers", 1, "post-failure worker goroutines (>1 enables parallel detection)")
+		postTimeout = fs.Duration("post-timeout", 0, "wall-clock deadline per post-failure run (0 = none)")
+		noPrune     = fs.Bool("no-prune", false, "run every failure point instead of testing one representative per crash-state class (ablation; the report-key set is identical either way)")
+		vcachePath  = fs.String("verdict-cache", "", "consult and extend this fsynced on-disk crash-state verdict cache, keyed by (program/config identity, fingerprint): failure points whose class a previous campaign of the identical program resolved cleanly skip their post-runs (CacheHits). With -spawn it is the in-process daemon's cache, one file for every shard, keyed by the campaign's argument vector; -serve holds its own under -workdir")
+		noVCache    = fs.Bool("no-verdict-cache", false, "ablation: ignore the on-disk verdict cache (local -verdict-cache and the -serve daemon's cache alike)")
+		updRounds   = fs.Int("update-rounds", 1, "repeat the -updates pass this many times with identical values (the pruning ablation's repetitive-loop shape)")
+		ckptPath    = fs.String("checkpoint", "", "append completed failure points to this JSONL file")
+		resume      = fs.Bool("resume", false, "skip failure points already recorded in -checkpoint (and reopen the -pool-file, skipping the writeback of already-persisted pages)")
+		poolFile    = fs.String("pool-file", "", "back the PM pool with this mmap'd file, persisted with range-batched msync at every ordering point and failure-point snapshot; a fresh campaign refuses an existing file (-resume reopens it). With -spawn the value marks the request and each shard gets <workdir>/c<N>/shard<i>.pool")
+		workdir     = fs.String("workdir", "", "daemon directory for -spawn and -serve (default: a fresh temporary directory): each campaign gets the first free c<N>/ with its shard checkpoints (shard<i>.ckpt) and pool files (shard<i>.pool)")
+		keysOut     = fs.String("keys-out", "", "write the sorted deduplicated report keys to this file")
+		recordPath  = fs.String("record", "", "record the deterministic pre-failure pass once into this artifact (trace + engine checkpoints + pool deltas) and exit without post-failure runs; shards, -resume, and -serve workers replay it with -from-record instead of re-executing the program")
+		fromRecord  = fs.String("from-record", "", "replay the pre-failure stage from this recorded artifact instead of executing the program, fast-forwarding through the nearest engine checkpoint below the first owned failure point; the artifact's program identity must match this campaign's flags")
+		noFF        = fs.Bool("no-fast-forward", false, "ablation: the campaign daemon (-spawn, -submit) skips the record-once pass and every shard re-executes the pre-failure stage live (the report-key set is identical either way)")
+		shards      = fs.Int("shards", 0, "total shards of a partitioned campaign (this process runs the crash-state classes its fingerprints assign to shard-index; under -no-prune, failure points fp%%shards == shard-index)")
+		shardIndex  = fs.Int("shard-index", -1, "this process's shard in [0, shards)")
+		spawn       = fs.Int("spawn", 0, "run the campaign as this many shards on a campaign daemon and as many worker loops inside this process (-serve, N x -worker and -submit in one command): crashed shards are rescheduled with -resume and the merged report is printed")
+		merge       = fs.Bool("merge", false, "merge mode: union the checkpoint files given as arguments into one report (use before positional operands, e.g. -merge -keys-out k.txt a.ckpt b.ckpt)")
+		serveAddr   = fs.String("serve", "", "run the distributed campaign daemon on this address (host:port); campaigns arrive over the HTTP/JSON API and are scheduled as shard leases onto -worker processes")
+		workerURL   = fs.String("worker", "", "join the fleet of the campaign daemon at this URL: poll for shard leases, run each shard in a subprocess, and stream its checkpoint lines back")
+		submitURL   = fs.String("submit", "", "submit the campaign described by the workload flags to the daemon at this URL (-shards N picks the shard count), wait for it, and print the merged report")
+		leaseTTL    = fs.Duration("lease-ttl", 15*time.Second, "daemon heartbeat deadline per lease: a worker silent this long loses the lease and its shard is rescheduled with -resume")
+		heartbeatIv = fs.Duration("heartbeat", 5*time.Second, "worker keepalive period while a shard child runs")
+		killGrace   = fs.Duration("kill-grace", serve.DefaultKillGrace, "grace period after SIGTERM before a shard or record child that ignores cancellation is SIGKILLed (worker lease teardown, daemon shutdown)")
+		verbose     = fs.Bool("v", false, "print per-run statistics even when clean")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -306,16 +305,16 @@ func realMain(args []string) int {
 		ckptW = w
 		cfg.OnPostRunComplete = w.record
 	}
-	if cfg.Mode == core.ModeDetect && !*noPrune {
-		// Cross-process verdict sharing. A daemon-scheduled shard (the
-		// -worker sets the env pair) claims classes against the campaign's
-		// registry over the lease API; a standalone campaign consults the
-		// on-disk cross-campaign cache directly.
+	if cfg.Mode == core.ModeDetect && !*noPrune && !*noVCache {
+		// Cross-campaign verdict reuse. A daemon-scheduled shard (the
+		// -worker sets the env pair) fetches its campaign's cached verdicts
+		// from the daemon once; a standalone campaign consults the on-disk
+		// cache directly.
 		url, lease := os.Getenv(serve.VerdictURLEnv), os.Getenv(serve.VerdictLeaseEnv)
 		switch {
-		case url != "" && lease != "" && !*noCrossShard:
-			cfg.Verdicts = &serve.LeaseVerdicts{Client: &serve.Client{BaseURL: url}, Lease: lease}
-		case *vcachePath != "" && !*noVCache:
+		case url != "" && lease != "":
+			cfg.Verdicts = serve.FetchLeaseVerdicts(&serve.Client{BaseURL: url}, lease)
+		case *vcachePath != "":
 			vc, err := vcache.Open(*vcachePath)
 			if err != nil {
 				return errorf("opening verdict cache: %v", err)

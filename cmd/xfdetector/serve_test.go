@@ -63,7 +63,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // heartbeat deadline, reschedule the shard onto the surviving worker with
 // -resume against the daemon-held checkpoint, and the final merged key
 // set must be byte-identical to the single-process run — with honest
-// bucket accounting on the merged result.
+// bucket accounting on the merged result, and post-runs and classes bound
+// to the single-process run's.
 func TestServeCampaignEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs full detection campaigns")
@@ -168,6 +169,22 @@ func TestServeCampaignEquivalence(t *testing.T) {
 	if sum := b.PostRuns + b.Pruned + b.Resumed + b.Skipped + b.OtherShard; sum != st.FailurePoints {
 		t.Errorf("merged bucket invariant broken: %d+%d+%d+%d+%d = %d, %d failure points",
 			b.PostRuns, b.Pruned, b.Resumed, b.Skipped, b.OtherShard, sum, st.FailurePoints)
+	}
+
+	// Shards own whole crash-state classes, so the fleet post-runs what
+	// one process does, except that the resumed shard re-runs a member of
+	// each class whose representative it resumed (checkFleetCounts).
+	for _, c := range []struct {
+		what      string
+		want, got int
+	}{
+		{"post-runs", extract(t, mergedPostRunsRe, out), b.PostRuns},
+		{"classes", extract(t, classesRe, out), st.CrashStateClasses},
+	} {
+		if c.want == 0 || c.got+b.Resumed < c.want || c.got > c.want {
+			t.Errorf("merged %s %d with %d resumed, single-process run %d; want %s + resumed in [%d, %d]",
+				c.what, c.got, b.Resumed, c.want, c.what, c.want, c.want+b.Resumed)
+		}
 	}
 
 	if got := ckpt.KeysFileText(st.Keys); !bytes.Equal(ref, []byte(got)) {

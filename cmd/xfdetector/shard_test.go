@@ -28,9 +28,38 @@ const spawnFleet = "-lease-ttl 2s -heartbeat 500ms"
 // without telling the daemon.
 var spawnCrash = []string{workerCrashEnv + "=2"}
 
-// crossShardRe reads the merged report's cross-shard attribution count;
-// the shards' own reports reach the output prefixed by their worker.
-var crossShardRe = regexp.MustCompile(`(?m)^cross-shard: (\d+)`)
+// Readers of a report's class and resumed counts. Anchored at line start:
+// under -spawn the shards' own reports reach the output first, prefixed
+// by their worker, and only the merged report's lines start a line.
+var (
+	classesRe = regexp.MustCompile(`(?m)^pruning: (\d+) crash-state class`)
+	resumedRe = regexp.MustCompile(`(?m)^resumed: (\d+) failure point`)
+)
+
+// checkFleetCounts holds a fleet's merged post-runs and crash-state
+// classes to the single-process run's. Shards own whole classes, so an
+// uncrashed fleet matches exactly. A crashed and resumed shard counts its
+// first incarnation's points as resumed, and re-runs a member of each
+// class whose representative it resumed: then post-runs plus resumed
+// points lie between the single-process count and that count plus the
+// resumed points, and so do classes plus resumed points.
+func checkFleetCounts(t *testing.T, label, single, fleet string) {
+	t.Helper()
+	resumed := extract(t, resumedRe, fleet)
+	for _, c := range []struct {
+		what string
+		re   *regexp.Regexp
+	}{{"post-runs", mergedPostRunsRe}, {"classes", classesRe}} {
+		want, got := extract(t, c.re, single), extract(t, c.re, fleet)
+		if want == 0 {
+			t.Errorf("%s: the single-process run reports no %s:\n%s", label, c.what, single)
+		}
+		if got+resumed < want || got > want {
+			t.Errorf("%s: merged %s %d with %d resumed, single-process run %d; want %s + resumed in [%d, %d]",
+				label, c.what, got, resumed, want, c.what, want, want+resumed)
+		}
+	}
+}
 
 // TestShardFlagValidation: inconsistent shard flags are usage errors, not
 // silently partial campaigns.
@@ -58,29 +87,28 @@ func TestShardFlagValidation(t *testing.T) {
 // acceptance criterion runs over: the five micro benchmarks with a seeded
 // bug, Redis with the paper's Bug 3, and Memcached clean (whose empty
 // report set also exercises the empty -keys-out encoding). The update-loop
-// B-Tree revisits its crash-state classes on every shard of a 3-shard
-// split, so that fleet must attribute some of them cross-shard instead of
-// re-running them (with 2 shards each of its classes stays on one shard).
+// B-Tree revisits its crash-state classes throughout the campaign, so its
+// classes have many members each, which class sharding keeps on one shard.
 var shardTable = []struct {
-	name       string
-	args       string
-	crossShard bool
+	name string
+	args string
 }{
-	{"btree", "-workload btree -init 2 -test 2 -patch btree-skip-add-leaf", false},
-	{"ctree", "-workload ctree -init 2 -test 2 -patch ctree-skip-add-count", false},
-	{"rbtree", "-workload rbtree -init 2 -test 2 -patch rbt-skip-add-root", false},
-	{"hashmap-tx", "-workload hashmap-tx -init 2 -test 2 -patch hmtx-skip-add-slot", false},
-	{"hashmap-atomic", "-workload hashmap-atomic -init 2 -test 2 -patch hma-sem-inverted-dirty", false},
-	{"redis", "-workload redis -init 2 -test 2 -patch init-race", false},
-	{"memcached", "-workload memcached -init 2 -test 2", false},
-	{"btree-update-loop", "-workload btree -init 2 -test 1 -updates 2 -update-rounds 20 -patch btree-skip-add-leaf", true},
+	{"btree", "-workload btree -init 2 -test 2 -patch btree-skip-add-leaf"},
+	{"ctree", "-workload ctree -init 2 -test 2 -patch ctree-skip-add-count"},
+	{"rbtree", "-workload rbtree -init 2 -test 2 -patch rbt-skip-add-root"},
+	{"hashmap-tx", "-workload hashmap-tx -init 2 -test 2 -patch hmtx-skip-add-slot"},
+	{"hashmap-atomic", "-workload hashmap-atomic -init 2 -test 2 -patch hma-sem-inverted-dirty"},
+	{"redis", "-workload redis -init 2 -test 2 -patch init-race"},
+	{"memcached", "-workload memcached -init 2 -test 2"},
+	{"btree-update-loop", "-workload btree -init 2 -test 1 -updates 2 -update-rounds 20 -patch btree-skip-add-leaf"},
 }
 
 // TestShardedCampaignEquivalence: for every workload in the equivalence
 // table, an N-shard -spawn fleet (N ∈ {2, 3}) merges to the byte-identical
-// key set of the single-process run — including when one shard is
-// SIGKILLed mid-run and rescheduled with -resume (the 3-shard variant arms
-// the worker crash hook).
+// key set of the single-process run, and to its post-runs and crash-state
+// classes (checkFleetCounts) — including when one shard is SIGKILLed
+// mid-run and rescheduled with -resume (the 3-shard variant arms the
+// worker crash hook).
 func TestShardedCampaignEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs full detection campaigns")
@@ -120,8 +148,9 @@ func TestShardedCampaignEquivalence(t *testing.T) {
 					t.Errorf("spawn %d merged keys diverge from single-process run:\nref:\n%s\nmerged:\n%s\nfleet output:\n%s",
 						shards, ref, got, mout)
 				}
-				if n := extract(t, crossShardRe, mout); tt.crossShard && shards == 3 && n == 0 {
-					t.Errorf("spawn %d attributed no crash-state class across shards:\n%s", shards, mout)
+				checkFleetCounts(t, fmt.Sprintf("spawn %d", shards), out, mout)
+				if shards == 2 && extract(t, resumedRe, mout) != 0 {
+					t.Errorf("spawn 2 resumed failure points without a crash:\n%s", mout)
 				}
 			}
 		})

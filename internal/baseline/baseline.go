@@ -80,10 +80,16 @@ func Pmemcheck(tr *trace.Trace, poolSize uint64) []Finding {
 	var perf []Finding
 	seenPerf := map[string]bool{}
 	sh.SetPerfBugHandler(func(b shadow.PerfBug) {
-		if seenPerf[b.IP] {
+		// pmemcheck checks flushes, not transactions: a duplicate TX_ADD is
+		// PMTest's finding (DuplicateTxAdd there), not a redundant flush.
+		if b.Kind != shadow.RedundantFlush {
 			return
 		}
-		seenPerf[b.IP] = true
+		key := fmt.Sprintf("%d|%s", RedundantFlush, b.IP)
+		if seenPerf[key] {
+			return
+		}
+		seenPerf[key] = true
 		perf = append(perf, Finding{Kind: RedundantFlush, Addr: b.Addr, Size: b.Size, IP: b.IP})
 	})
 	for _, e := range tr.Entries() {

@@ -166,3 +166,19 @@ func TestPMTestDirectUnprotectedWrite(t *testing.T) {
 		t.Errorf("missed duplicate TX_ADD: %v", fs)
 	}
 }
+
+// TestPmemcheckLeavesDuplicateTxAddToPMTest: a TX_ADD repeated in one
+// transaction is a transaction-checker finding, PMTest's, which the fault
+// registry credits for btree-dup-add-leaf. pmemcheck checks flushes, and
+// that program has no redundant flush, so it must report none; PMTest
+// reports the duplicate.
+func TestPmemcheckLeavesDuplicateTxAddToPMTest(t *testing.T) {
+	tr := tracePreFailure(t, "btree-dup-add-leaf", "B-Tree")
+	size := baseline.PoolSizeFor(tr)
+	if fs := baseline.Pmemcheck(tr, size); hasKind(fs, baseline.RedundantFlush) {
+		t.Errorf("pmemcheck reports a redundant flush for a duplicate TX_ADD: %v", fs)
+	}
+	if fs := baseline.PMTest(tr, size); !hasKind(fs, baseline.DuplicateTxAdd) {
+		t.Errorf("PMTest missed the duplicate TX_ADD: %v", fs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"time"
 
 	"github.com/pmemgo/xfdetector/internal/baseline"
@@ -88,22 +89,38 @@ type Fig12bRow struct {
 	FailurePointsRun int
 }
 
-// Fig12b runs the three configurations of §6.2.1 for every workload.
+// fig12bRuns is how many times Fig12b times each mode of each workload.
+// One run takes 1–19 ms, so a single timing is mostly noise; the median of
+// interleaved runs is not.
+const fig12bRuns = 11
+
+// Fig12b runs the three configurations of §6.2.1 for every workload and
+// reports each mode's median wall-clock over fig12bRuns rounds, the modes
+// interleaved within a round so that drift in the host's speed hits all
+// three alike.
 func Fig12b() ([]Fig12bRow, error) {
+	modes := []core.Mode{core.ModeDetect, core.ModeTraceOnly, core.ModeOriginal}
 	var rows []Fig12bRow
 	for _, w := range Table4() {
-		times := map[core.Mode]float64{}
+		samples := map[core.Mode][]float64{}
 		fps := 0
-		for _, mode := range []core.Mode{core.ModeDetect, core.ModeTraceOnly, core.ModeOriginal} {
-			start := time.Now()
-			res, err := core.Run(core.Config{PoolSize: DefaultPoolSize, Mode: mode, DisablePruning: true}, w.Target(Fig12Config))
-			if err != nil {
-				return nil, fmt.Errorf("fig12b %s %v: %w", w.Name, mode, err)
+		for round := 0; round < fig12bRuns; round++ {
+			for _, mode := range modes {
+				start := time.Now()
+				res, err := core.Run(core.Config{PoolSize: DefaultPoolSize, Mode: mode, DisablePruning: true}, w.Target(Fig12Config))
+				if err != nil {
+					return nil, fmt.Errorf("fig12b %s %v: %w", w.Name, mode, err)
+				}
+				samples[mode] = append(samples[mode], time.Since(start).Seconds())
+				if mode == core.ModeDetect {
+					fps = res.FailurePoints
+				}
 			}
-			times[mode] = time.Since(start).Seconds()
-			if mode == core.ModeDetect {
-				fps = res.FailurePoints
-			}
+		}
+		times := map[core.Mode]float64{}
+		for _, mode := range modes {
+			sort.Float64s(samples[mode])
+			times[mode] = samples[mode][fig12bRuns/2]
 		}
 		const floor = 50e-9 // avoid dividing by timer noise
 		orig := times[core.ModeOriginal]

@@ -44,13 +44,18 @@ type Line struct {
 	// per-point lines by pruning runs (zero under -no-prune, on members of
 	// a dirty class, whose outcomes speak only for themselves, and on
 	// legacy checkpoints, all of which still parse). The -serve daemon
-	// uses it to settle the class a lease claimed when the line lands.
+	// caches a clean class from the first line carrying its fingerprint.
 	FPrint uint64 `json:"fpr,omitempty"`
 	// Total and Shards are only set on the summary line: the campaign's
 	// failure-point count and the shard layout that wrote it (0 when the
 	// campaign was not sharded).
 	Total  int `json:"total,omitempty"`
 	Shards int `json:"shards,omitempty"`
+	// Partition is only set on a sharded run's summary line: how the
+	// shards split the campaign (core.PartitionByClass or
+	// core.PartitionByFailurePoint). Checkpoints from before class
+	// sharding lack it; their shards split by failure point.
+	Partition string `json:"partition,omitempty"`
 	// ShadowPeakBytes and ShadowPages are only set on the summary line:
 	// the run's peak shadow-PM footprint and cumulative 4 KiB shadow page
 	// allocations. Older checkpoints without them still parse.
@@ -77,9 +82,10 @@ type Line struct {
 	Skipped    int `json:"skipped,omitempty"`
 	Abandoned  int `json:"abandoned,omitempty"`
 	// CrossShard and CacheHits extend the bucket invariant for verdict
-	// sharing: failure points attributed from another shard's clean class
-	// representative (the -serve registry) and from a previous campaign's
-	// on-disk verdict cache. PostRuns + Pruned + CrossShard + CacheHits +
+	// reuse: failure points attributed from another shard's clean class
+	// representative (written only by campaigns from before class
+	// sharding, which still merge) and from a previous campaign's on-disk
+	// verdict cache. PostRuns + Pruned + CrossShard + CacheHits +
 	// OtherShard + Resumed + Skipped == Total.
 	CrossShard int `json:"cross_shard,omitempty"`
 	CacheHits  int `json:"cache_hits,omitempty"`
@@ -88,14 +94,29 @@ type Line struct {
 // IsSummary reports whether the line is a campaign-completion summary.
 func (l Line) IsSummary() bool { return l.FP <= SummaryFP }
 
+// partition is the partition scheme of a sharded summary line, reading a
+// pre-class-sharding line's missing field as the failure-point split it
+// used; "" for an unsharded summary.
+func (l Line) partition() string {
+	switch {
+	case l.Shards <= 1:
+		return ""
+	case l.Partition == "":
+		return core.PartitionByFailurePoint
+	}
+	return l.Partition
+}
+
 // Summary builds the completion summary line for a finished run: the
-// failure-point total, the shard layout, the bucket accounting, and the
-// pre-failure reports (fp < 0) that no per-point line carries.
+// failure-point total, the shard layout and partition scheme, the bucket
+// accounting, and the pre-failure reports (fp < 0) that no per-point line
+// carries.
 func Summary(res *core.Result, shards int) Line {
 	line := Line{
 		FP:              SummaryFP,
 		Total:           res.FailurePoints,
 		Shards:          shards,
+		Partition:       res.ShardPartition,
 		ShadowPeakBytes: res.ShadowPeakBytes,
 		ShadowPages:     res.ShadowPages,
 		Classes:         res.CrashStateClasses,

@@ -29,12 +29,17 @@ import (
 // earlier summaries in the same stream (a resumed completion re-verifying
 // a finished campaign) describe superseded incarnations of the same
 // points.
+//
+// Shards partition a campaign by crash-state class or, under -no-prune, by
+// failure point; the two schemes cover different failure-point sets, so
+// sharded summaries that disagree on the scheme are refused.
 type Merger struct {
-	seen    map[string]bool
-	reports []core.Report
-	done    map[int]bool
-	total   int // -1 until a summary arrives
-	sources map[string]*Line
+	seen      map[string]bool
+	reports   []core.Report
+	done      map[int]bool
+	total     int // -1 until a summary arrives
+	partition string
+	sources   map[string]*Line
 }
 
 // NewMerger returns an empty merger.
@@ -54,6 +59,12 @@ func (m *Merger) Add(source string, l Line) error {
 	if l.IsSummary() {
 		if m.total >= 0 && m.total != l.Total {
 			return fmt.Errorf("failure-point total %d disagrees with %d from earlier checkpoints; these shards ran different campaigns", l.Total, m.total)
+		}
+		if p := l.partition(); p != "" {
+			if m.partition != "" && m.partition != p {
+				return fmt.Errorf("shards partitioned by %s and by %s; refusing to mix the two schemes (rerun every shard with the same binary and -no-prune setting)", m.partition, p)
+			}
+			m.partition = p
 		}
 		m.total = l.Total
 		cp := l

@@ -132,23 +132,26 @@ type Config struct {
 	// line. Calls are serialized but may come from worker goroutines in
 	// parallel mode.
 	OnPostRunComplete func(failurePoint int, fingerprint uint64, fresh []Report)
-	// Verdicts, if set, shares crash-state class verdicts beyond this
-	// process: the runner claims each class before running its local
-	// representative and publishes the representative's outcome back (see
-	// VerdictSource). Attributed points land in
-	// Result.CrossShardPrunedFailurePoints (a shard elsewhere resolved the
-	// class during this campaign) or Result.CacheHitFailurePoints (a
-	// previous campaign's cached verdict). Requires pruning (ignored under
-	// DisablePruning or outside ModeDetect).
+	// Verdicts, if set, is a cache of clean crash-state class verdicts
+	// from previous campaigns of the identical program (see
+	// VerdictSource): the first member of each class this run owns looks
+	// its fingerprint up before becoming the representative, attributed
+	// points land in Result.CacheHitFailurePoints, and every clean
+	// representative's reports are stored back. Requires pruning (ignored
+	// under DisablePruning or outside ModeDetect).
 	Verdicts VerdictSource
-	// ShardCount/ShardIndex partition a campaign's failure points across
-	// cooperating processes: shard i executes the post-run of failure
-	// point fp iff fp % ShardCount == ShardIndex. Every shard traces the
-	// identical (deterministic) pre-failure execution and injects and
-	// counts every failure point, so failure-point numbering agrees across
-	// shards, each shard's report set is a sound subset of the
-	// single-process result, and the union over all shards converges to
-	// it. Points owned by other shards are accounted in
+	// ShardCount/ShardIndex partition a campaign across cooperating
+	// processes. Under pruning, shard i owns the crash-state classes whose
+	// fingerprint the class-sharding function maps to i (classShard): it
+	// runs each owned class's representative, prunes its clean members and
+	// runs a dirty class's members itself, so a fleet post-runs exactly
+	// the failure points one process does. Under DisablePruning shard i
+	// owns failure point fp iff fp % ShardCount == ShardIndex. Every shard
+	// traces the identical (deterministic) pre-failure execution and
+	// injects and counts every failure point, so failure-point numbering
+	// agrees across shards, each shard's report set is a sound subset of
+	// the single-process result, and the union over all shards converges
+	// to it. Points owned by other shards are accounted in
 	// Result.OtherShardFailurePoints — resumed elsewhere, like
 	// CompletedFailurePoints, not degradation. ShardCount 0 or 1 disables
 	// sharding.
@@ -387,30 +390,32 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 		preSeconds = 0 // parallel workers overlap the pre-failure stage
 	}
 	res := &Result{
-		Target:               t.Name,
-		Reports:              r.reports.snapshot(),
-		FailurePoints:        r.failurePoints,
-		PostRuns:             r.postRuns,
-		PreEntries:           r.preEntries,
-		PostEntries:          r.postEntries,
-		BenignReads:          r.benign,
-		PostSeconds:          r.postTime.Seconds(),
-		PreSeconds:           preSeconds,
-		Incomplete:           r.incomplete,
-		IncompleteReason:     r.incompleteWhy,
-		SkippedFailurePoints: r.skippedFPs,
-		AbandonedPostRuns:    r.abandonedRuns,
-		ResumedFailurePoints: r.resumedFPs,
-		HarnessFaults:        r.harnessFaults,
-		CrashStateClasses:    r.classesTested,
-		PrunedFailurePoints:  r.prunedFPs,
-
-		CrossShardPrunedFailurePoints: r.crossShardFPs,
-		CacheHitFailurePoints:         r.cacheHitFPs,
+		Target:                t.Name,
+		Reports:               r.reports.snapshot(),
+		FailurePoints:         r.failurePoints,
+		PostRuns:              r.postRuns,
+		PreEntries:            r.preEntries,
+		PostEntries:           r.postEntries,
+		BenignReads:           r.benign,
+		PostSeconds:           r.postTime.Seconds(),
+		PreSeconds:            preSeconds,
+		Incomplete:            r.incomplete,
+		IncompleteReason:      r.incompleteWhy,
+		SkippedFailurePoints:  r.skippedFPs,
+		AbandonedPostRuns:     r.abandonedRuns,
+		ResumedFailurePoints:  r.resumedFPs,
+		HarnessFaults:         r.harnessFaults,
+		CrashStateClasses:     r.classesTested,
+		PrunedFailurePoints:   r.prunedFPs,
+		CacheHitFailurePoints: r.cacheHitFPs,
 	}
 	if cfg.ShardCount > 1 {
 		res.ShardCount = cfg.ShardCount
 		res.ShardIndex = cfg.ShardIndex
+		res.ShardPartition = PartitionByFailurePoint
+		if r.pruning() {
+			res.ShardPartition = PartitionByClass
+		}
 		res.OtherShardFailurePoints = r.otherShardFPs
 	}
 	if r.sh != nil {
@@ -480,7 +485,6 @@ type runner struct {
 	classes       map[uint64]*crashClass
 	classesTested int
 	prunedFPs     int
-	crossShardFPs int
 	cacheHitFPs   int
 
 	// sinkMu serializes trace recording and failure injection, so
@@ -662,22 +666,13 @@ func (r *runner) injectFailure() {
 }
 
 // dispatchFP runs everything that happens at an injected failure point
-// after its marker is recorded: shard ownership, checkpoint resume,
-// crash-state pruning, and the post-run itself. It is shared verbatim by
-// live injection (injectFailure) and recorded replay
+// after its marker is recorded: checkpoint resume, crash-state pruning
+// with its class-ownership test, and the post-run itself. It is shared
+// verbatim by live injection (injectFailure) and recorded replay
 // (replayFailurePoint), so a replayed campaign makes exactly the
 // decisions a live one would. Callers hold sinkMu.
 func (r *runner) dispatchFP(fpID int) {
 	if r.target.Post == nil {
-		return
-	}
-	if r.cfg.ShardCount > 1 && fpID%r.cfg.ShardCount != r.cfg.ShardIndex {
-		// Sharded campaign: this failure point's post-run belongs to
-		// another shard, which replays the identical pre-failure execution
-		// and arrives at the same fpID. Delegated, not degraded.
-		r.degradeMu.Lock()
-		r.otherShardFPs++
-		r.degradeMu.Unlock()
 		return
 	}
 	if r.cfg.CompletedFailurePoints[fpID] {
@@ -691,11 +686,16 @@ func (r *runner) dispatchFP(fpID int) {
 	var cls *crashClass
 	var fpr uint64
 	if r.pruning() {
+		// Under pruning a shard owns whole crash-state classes, so the
+		// ownership test needs the fingerprint (enterClass).
 		var handled bool
 		cls, fpr, handled = r.enterClass(fpID)
 		if handled {
 			return
 		}
+	} else if !r.ownsFailurePoint(fpID) {
+		r.noteOtherShard()
+		return
 	}
 	if r.engine != nil {
 		snap, err := r.snapshotWithRetry()

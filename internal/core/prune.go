@@ -30,12 +30,20 @@ package core
 // queues, which keeps back-pressure deadlock-free. PostRuns, PostEntries
 // and BenignReads therefore match sequential detection exactly.
 //
-// Sharded and resumed failure points are never fingerprinted: classes are
-// local to one process's owned failure points, so every shard prunes
-// within its own partition and the union over shards stays byte-identical
-// to the single-process report-key set.
+// Sharded campaigns partition by class, not by failure point: shard i of N
+// owns the classes whose fingerprint F has classShard(F, N) == i, so each
+// shard fingerprints every failure point it has not resumed, applies the
+// rules above to the classes it owns, and delegates the rest
+// (OtherShardFailurePoints). No shard needs another shard's verdict, and a
+// fleet post-runs exactly the failure points one process does. Resumed
+// failure points are never fingerprinted: a resumed shard's member whose
+// representative a checkpoint already covered becomes the class's new
+// representative. Under DisablePruning nothing is fingerprinted and
+// ownership stays fp % N.
 
 import (
+	"math/bits"
+
 	"github.com/pmemgo/xfdetector/internal/pmem"
 	"github.com/pmemgo/xfdetector/internal/shadow"
 )
@@ -68,13 +76,31 @@ type parkedFP struct {
 type crashClass struct {
 	state  classState
 	parked []parkedFP
-	// fpr is the class's fingerprint, and publish records that this
-	// process owns the class in the run's VerdictSource (claim answered
-	// VerdictOwn) and must publish the representative's outcome on
-	// resolution. Claims answered VerdictRun run locally without
-	// publishing — only the owning shard resolves a shared class.
-	fpr     uint64
-	publish bool
+	fpr    uint64
+}
+
+// classShard is the shard that owns crash-state class fpr in an n-shard
+// campaign: the high word of fpr·n, so the fingerprint's high bits decide.
+// fpr % n would read its low bits, and FNV-1a's lowest bit is the XOR of
+// its inputs' lowest bits: at n = 2 that put every class of a 654-point
+// B-Tree campaign on one shard.
+func classShard(fpr uint64, n int) int {
+	hi, _ := bits.Mul64(fpr, uint64(n))
+	return int(hi)
+}
+
+// ownsClass reports whether this run owns crash-state class fpr.
+func (r *runner) ownsClass(fpr uint64) bool {
+	return r.cfg.ShardCount <= 1 || classShard(fpr, r.cfg.ShardCount) == r.cfg.ShardIndex
+}
+
+// noteOtherShard accounts a failure point whose post-run belongs to
+// another shard, which replays the identical pre-failure execution and
+// arrives at the same failure point. Delegated, not degraded.
+func (r *runner) noteOtherShard() {
+	r.degradeMu.Lock()
+	r.otherShardFPs++
+	r.degradeMu.Unlock()
 }
 
 // pruning reports whether this run fingerprints and prunes failure points.
@@ -110,18 +136,23 @@ func (o postOutcome) clean() bool {
 // enterClass fingerprints the current shadow state and files fpID into its
 // class. It returns the class when fpID is its representative (the caller
 // runs the post-failure execution and resolves the class afterwards), or
-// handled=true when the failure point was consumed here: pruned against a
-// clean class, parked behind an in-flight representative, or quarantined
-// on a failing snapshot. A nil class with handled=false means the failure
-// point belongs to a dirty class and runs like an unpruned one, with a
-// zero fingerprint: its outcome is its own and must not speak for the
-// class. (A -serve daemon settles a class from the owner's first line
+// handled=true when the failure point was consumed here: delegated to the
+// shard owning its class, pruned against a clean class, answered from the
+// verdict cache, parked behind an in-flight representative, or
+// quarantined on a failing snapshot. A nil class with handled=false means
+// the failure point belongs to a dirty class and runs like an unpruned
+// one, with a zero fingerprint: its outcome is its own and must not speak
+// for the class. (A -serve daemon caches a class from the first line
 // carrying its fingerprint; after a quarantined representative, which
-// writes no line, a member's clean line would otherwise settle the class
+// writes no line, a member's clean line would otherwise cache the class
 // with reports that miss what the void attempts observed.) Callers hold
 // sinkMu.
 func (r *runner) enterClass(fpID int) (cls *crashClass, fpr uint64, handled bool) {
 	fp := r.sh.CrashFingerprint()
+	if !r.ownsClass(fp) {
+		r.noteOtherShard()
+		return nil, fp, true
+	}
 	r.pruneMu.Lock()
 	c := r.classes[fp]
 	if c == nil {
@@ -150,47 +181,31 @@ func (r *runner) enterClass(fpID int) (cls *crashClass, fpr uint64, handled bool
 		r.pruneMu.Unlock()
 		return nil, fp, true
 	case classUntested:
+		// First member: reserve the class, then consult the verdict cache
+		// (if any) without holding pruneMu. enterClass is serialized under
+		// sinkMu — parallel workers only resolve classes, never file new
+		// members — so nothing can park on the class meanwhile.
 		c.state = classTesting
 		r.pruneMu.Unlock()
-		// First local member: consult the run's VerdictSource (if any)
-		// before becoming the representative. The class is already
-		// reserved as classTesting and enterClass is serialized under
-		// sinkMu, so a slow or remote claim cannot race the parking path —
-		// parallel workers only resolve classes, never file new members.
-		verdict := ClassClaim{Verdict: VerdictOwn}
 		if r.cfg.Verdicts != nil {
-			verdict = r.cfg.Verdicts.Claim(fp)
-		}
-		switch verdict.Verdict {
-		case VerdictClean:
-			// Another shard's representative completed cleanly; attribute
-			// its verdict. Its reports live in that shard's checkpoint.
-			r.pruneMu.Lock()
-			c.state = classClean
-			r.crossShardFPs++
-			r.pruneMu.Unlock()
-			r.completeFP(fpID, fp, nil)
-			return nil, fp, true
-		case VerdictCached:
-			// A previous campaign resolved the class cleanly; attribute
-			// the verdict and re-seed its reports so this campaign's
-			// merged report set matches an uncached run byte for byte.
-			r.pruneMu.Lock()
-			c.state = classClean
-			r.cacheHitFPs++
-			r.pruneMu.Unlock()
-			var fresh []Report
-			for _, rep := range verdict.Reports {
-				if r.reports.add(rep) {
-					fresh = append(fresh, rep)
+			if cached, ok := r.cfg.Verdicts.Lookup(fp); ok {
+				// A previous campaign resolved the class cleanly; attribute
+				// the verdict and re-seed its reports so this campaign's
+				// merged report set matches an uncached run byte for byte.
+				r.pruneMu.Lock()
+				c.state = classClean
+				r.cacheHitFPs++
+				r.pruneMu.Unlock()
+				var fresh []Report
+				for _, rep := range cached {
+					if r.reports.add(rep) {
+						fresh = append(fresh, rep)
+					}
 				}
+				r.completeFP(fpID, fp, fresh)
+				return nil, fp, true
 			}
-			r.completeFP(fpID, fp, fresh)
-			return nil, fp, true
-		case VerdictOwn:
-			c.publish = true
 		}
-		// VerdictOwn or VerdictRun: run the representative locally.
 		r.pruneMu.Lock()
 		r.classesTested++
 		r.pruneMu.Unlock()
@@ -227,10 +242,9 @@ func (r *runner) resolveClass(cls *crashClass, clean bool, fresh []Report) {
 	}
 	parked := cls.parked
 	cls.parked = nil
-	publish := cls.publish
 	r.pruneMu.Unlock()
-	if publish && r.cfg.Verdicts != nil {
-		r.cfg.Verdicts.Resolve(cls.fpr, clean, fresh)
+	if clean && r.cfg.Verdicts != nil {
+		r.cfg.Verdicts.Store(cls.fpr, fresh)
 	}
 	for _, p := range parked {
 		if clean {

@@ -7,8 +7,8 @@ package core
 //
 // Replay preserves live semantics exactly: trace entries feed the same
 // recordLocked path the tracing sink uses, recorded failure-point markers
-// run the same dispatchFP body live injection runs (sharding, resume,
-// pruning, verdict sharing), and cancellation behaves like a live run's —
+// run the same dispatchFP body live injection runs (resume, pruning, class
+// ownership, verdict reuse), and cancellation behaves like a live run's —
 // remaining markers are skipped and counted, the rest of the trace still
 // applies. What replay drops is everything that made the pre-failure pass
 // expensive: target code, source-location capture, pool instrumentation,
@@ -17,6 +17,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"github.com/pmemgo/xfdetector/internal/pmem"
@@ -73,9 +74,21 @@ func (r *runner) finishRecording() error {
 	return nil
 }
 
-// ownsFP reports whether this shard dispatches failure point fp.
-func (r *runner) ownsFP(fp int) bool {
+// ownsFailurePoint reports whether this shard owns failure point fp under
+// the failure-point partition (DisablePruning).
+func (r *runner) ownsFailurePoint(fp int) bool {
 	return r.cfg.ShardCount <= 1 || fp%r.cfg.ShardCount == r.cfg.ShardIndex
+}
+
+// ownsRecorded reports whether this shard owns failure point fp of the
+// recorded artifact: under pruning by the class of its recorded
+// fingerprint, which is what dispatchFP would fingerprint there, and by
+// failure point otherwise.
+func (r *runner) ownsRecorded(a *record.Artifact, fp int) bool {
+	if r.pruning() {
+		return r.ownsClass(a.FPs[fp].Fingerprint)
+	}
+	return r.ownsFailurePoint(fp)
 }
 
 // replayRecorded drives the whole frontend from the recorded artifact.
@@ -136,7 +149,7 @@ func (r *runner) replayJump(a *record.Artifact) *record.Checkpoint {
 	startFP := len(a.FPs)
 	if r.target.Post != nil {
 		for fp := 0; fp < len(a.FPs); fp++ {
-			if r.ownsFP(fp) && !r.cfg.CompletedFailurePoints[fp] {
+			if r.ownsRecorded(a, fp) && !r.cfg.CompletedFailurePoints[fp] {
 				startFP = fp
 				break
 			}
@@ -167,7 +180,7 @@ func (r *runner) replayJump(a *record.Artifact) *record.Checkpoint {
 	if r.target.Post != nil {
 		r.degradeMu.Lock()
 		for fp := 0; fp <= ck.FP; fp++ {
-			if r.ownsFP(fp) {
+			if r.ownsRecorded(a, fp) {
 				r.resumedFPs++
 			} else {
 				r.otherShardFPs++
@@ -181,9 +194,9 @@ func (r *runner) replayJump(a *record.Artifact) *record.Checkpoint {
 // replayFailurePoint handles one recorded failure-point marker: it brings
 // the pool image up to the failure point with the recorded page delta,
 // then mirrors live injection — the cancellation boundary, the counting,
-// the marker, and dispatchFP — with one addition: before dispatching a
-// point this campaign owns, the replayed shadow's crash-state fingerprint
-// must match the recorded one. Callers hold sinkMu.
+// the marker, and dispatchFP — with one addition: before dispatching, the
+// replayed shadow's crash-state fingerprint must match the recorded one.
+// Callers hold sinkMu.
 func (r *runner) replayFailurePoint(a *record.Artifact, fpIdx int) error {
 	if fpIdx >= len(a.FPs) {
 		return fmt.Errorf("core: recorded trace has more failure-point markers than the artifact's %d records", len(a.FPs))
@@ -211,21 +224,25 @@ func (r *runner) replayFailurePoint(a *record.Artifact, fpIdx int) error {
 	return nil
 }
 
+// ErrFingerprintMismatch is wrapped by the error of a replay whose shadow
+// fingerprinted a failure point differently from the recording pass
+// (verifyReplayFingerprint).
+var ErrFingerprintMismatch = errors.New("crash-state fingerprint mismatch")
+
 // verifyReplayFingerprint is the fast-forward integrity tripwire: at every
-// failure point this campaign is about to dispatch under pruning, the
-// fingerprint the replayed shadow produces must equal the one the
-// recording pass produced. A stale or corrupt engine checkpoint (or a
-// truncated delta) cannot reproduce the recorded fingerprints, so it fails
-// the run here instead of silently mis-classifying crash states.
+// failure point this campaign fingerprints — under pruning, every point it
+// has not resumed, owned or not, because the fingerprint decides
+// ownership — the fingerprint the replayed shadow produces must equal the
+// one the recording pass produced. A stale or corrupt engine checkpoint
+// (or a truncated delta) cannot reproduce the recorded fingerprints, so it
+// fails the run here instead of silently mis-classifying crash states or
+// handing a class to the wrong shard.
 func (r *runner) verifyReplayFingerprint(fpID int, want uint64) error {
-	if !r.pruning() || r.target.Post == nil {
-		return nil
-	}
-	if !r.ownsFP(fpID) || r.cfg.CompletedFailurePoints[fpID] {
+	if !r.pruning() || r.target.Post == nil || r.cfg.CompletedFailurePoints[fpID] {
 		return nil
 	}
 	if got := r.sh.CrashFingerprint(); got != want {
-		return fmt.Errorf("core: crash-state fingerprint mismatch at failure point %d (recorded %016x, replayed %016x): stale or corrupt engine checkpoint", fpID, want, got)
+		return fmt.Errorf("core: %w at failure point %d (recorded %016x, replayed %016x): stale or corrupt engine checkpoint", ErrFingerprintMismatch, fpID, want, got)
 	}
 	return nil
 }

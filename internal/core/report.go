@@ -175,13 +175,14 @@ type Result struct {
 	// CrashStateClasses.
 	CrashStateClasses   int
 	PrunedFailurePoints int
-	// CrossShardPrunedFailurePoints counts failure points attributed from
-	// another shard's clean class representative via Config.Verdicts (the
-	// -serve campaign registry), and CacheHitFailurePoints counts failure
-	// points attributed from a previous campaign's on-disk verdict cache.
-	// Both are disjoint from PrunedFailurePoints: only the first local
-	// member of a class consults the source; later members of the same
-	// class land in the local pruned bucket as before.
+	// CrossShardPrunedFailurePoints is always zero in a run: it counts
+	// failure points attributed from another shard's class representative,
+	// which class sharding made unnecessary. Merges of checkpoints written
+	// before class sharding still carry it. CacheHitFailurePoints counts
+	// failure points attributed from a previous campaign's verdict cache
+	// (Config.Verdicts); it is disjoint from PrunedFailurePoints: only the
+	// first member of a class consults the cache, and later members of the
+	// same class land in the pruned bucket.
 	CrossShardPrunedFailurePoints int
 	CacheHitFailurePoints         int
 	// PreEntries and PostEntries count traced operations per stage.
@@ -215,12 +216,15 @@ type Result struct {
 	// checkpoint (Config.CompletedFailurePoints) already covered them.
 	ResumedFailurePoints int
 	// ShardCount and ShardIndex echo the sharding configuration of the
-	// run (both zero when the campaign was not sharded), and
+	// run (both zero when the campaign was not sharded), ShardPartition
+	// names how the shards split it (PartitionByClass under pruning,
+	// PartitionByFailurePoint otherwise; empty when not sharded), and
 	// OtherShardFailurePoints counts the failure points whose post-runs
 	// were delegated to other shards. Like ResumedFailurePoints, a
 	// delegated point is covered elsewhere, not a degradation.
 	ShardCount              int
 	ShardIndex              int
+	ShardPartition          string
 	OtherShardFailurePoints int
 	// HarnessFaults describes each quarantined failure point.
 	HarnessFaults []string
@@ -245,6 +249,15 @@ type Result struct {
 
 	trace *trace.Trace
 }
+
+// Shard partition schemes (Result.ShardPartition): shards of a pruning
+// campaign own crash-state classes, shards of a -no-prune campaign own
+// failure points fp % ShardCount. Shard checkpoints of the two schemes
+// cover different failure-point sets and must not be merged together.
+const (
+	PartitionByClass        = "class"
+	PartitionByFailurePoint = "failure-point"
+)
 
 // PreTrace returns the retained pre-failure trace, or nil unless the run
 // was configured with KeepTrace. The baseline pre-failure-only checkers
@@ -313,7 +326,7 @@ func (r *Result) String() string {
 		fmt.Fprintf(&b, "pool file: %d msync range(s), %d page(s) written, %d already persisted\n",
 			r.MsyncRanges, r.MsyncPages, r.MsyncSkipped)
 	}
-	if r.PrunedFailurePoints > 0 {
+	if r.CrashStateClasses > 0 || r.PrunedFailurePoints > 0 {
 		fmt.Fprintf(&b, "pruning: %d crash-state class(es) tested, %d member failure point(s) skipped\n",
 			r.CrashStateClasses, r.PrunedFailurePoints)
 	}

@@ -133,6 +133,88 @@ func TestShardUnionEquivalence(t *testing.T) {
 	}
 }
 
+// repeatTarget rewrites the same lines with the same values for several
+// rounds, so later rounds revisit earlier crash states: its classes have
+// many members, which class sharding must keep together on one shard. A
+// round has a prime number of failure points, so a split by failure point
+// would scatter every class over the shards.
+func repeatTarget(name string) Target {
+	const lines, rounds = 7, 4
+	t := manyFPTarget(name)
+	t.Pre = func(c *Ctx) error {
+		p := c.Pool()
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < lines; i++ {
+				p.Store64(uint64(i)*64, uint64(i)+1)
+				p.Persist(uint64(i)*64, 8)
+			}
+		}
+		p.Store64(uint64(lines)*64, 1) // never persisted
+		return nil
+	}
+	return t
+}
+
+// TestClassShardsPostRunLikeOneProcess: under pruning a shard owns whole
+// crash-state classes, so an N-shard campaign post-runs and tests exactly
+// the failure points and classes one process does — no class is split, no
+// verdict crosses shards — with every shard's buckets summing and the
+// union of keys equal to the single-process set. Under -no-prune the
+// shards partition failure points and each post-runs its own.
+func TestClassShardsPostRunLikeOneProcess(t *testing.T) {
+	for _, prune := range []bool{true, false} {
+		single, err := Run(Config{DisablePruning: !prune}, repeatTarget("class-shards"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prune && single.PrunedFailurePoints == 0 {
+			t.Fatal("repeat target pruned nothing; the class split would be vacuous")
+		}
+		for _, workers := range []int{1, 4} {
+			for _, shards := range []int{2, 3} {
+				t.Run(fmt.Sprintf("prune=%v/workers=%d/shards=%d", prune, workers, shards), func(t *testing.T) {
+					union := newReportSet()
+					posts, classes, pruned := 0, 0, 0
+					want := PartitionByFailurePoint
+					if prune {
+						want = PartitionByClass
+					}
+					for idx := 0; idx < shards; idx++ {
+						res, err := Run(Config{
+							DisablePruning: !prune,
+							Workers:        workers,
+							ShardCount:     shards,
+							ShardIndex:     idx,
+						}, repeatTarget("class-shards"))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := res.BucketedFailurePoints(); got != res.FailurePoints {
+							t.Errorf("shard %d: buckets sum to %d, want %d: %+v", idx, got, res.FailurePoints, res)
+						}
+						if res.ShardPartition != want {
+							t.Errorf("shard %d: partition %q, want %q", idx, res.ShardPartition, want)
+						}
+						for _, rep := range res.Reports {
+							union.add(rep)
+						}
+						posts += res.PostRuns
+						classes += res.CrashStateClasses
+						pruned += res.PrunedFailurePoints
+					}
+					if posts != single.PostRuns || classes != single.CrashStateClasses || pruned != single.PrunedFailurePoints {
+						t.Errorf("shards post-ran %d, tested %d classes, pruned %d; one process: %d, %d, %d",
+							posts, classes, pruned, single.PostRuns, single.CrashStateClasses, single.PrunedFailurePoints)
+					}
+					if got := sortedKeys(&Result{Reports: union.snapshot()}); !equalKeys(got, sortedKeys(single)) {
+						t.Errorf("union diverges from one process:\nunion: %v\none:   %v", got, sortedKeys(single))
+					}
+				})
+			}
+		}
+	}
+}
+
 func subsetOf(sub, super []string) bool {
 	seen := make(map[string]bool, len(super))
 	for _, k := range super {

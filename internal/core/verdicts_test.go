@@ -11,216 +11,51 @@ import (
 	"github.com/pmemgo/xfdetector/internal/trace"
 )
 
-// TestClassRegistryStateMachine: ownership, sticky resolution, owner-only
-// resolve, Known and owner release at the registry level.
-func TestClassRegistryStateMachine(t *testing.T) {
-	g := NewClassRegistry()
-	if g.Known(1) {
-		t.Fatal("unclaimed fingerprint known")
-	}
-	if v := g.Claim("a", 1); v.Verdict != VerdictOwn {
-		t.Fatalf("first claim = %v, want VerdictOwn", v.Verdict)
-	}
-	if !g.Known(1) {
-		t.Fatal("pending class not known")
-	}
-	if v := g.Claim("b", 1); v.Verdict != VerdictRun {
-		t.Fatalf("claim on pending class = %v, want VerdictRun", v.Verdict)
-	}
-	if g.Resolve("b", 1, true) {
-		t.Fatal("non-owner resolve landed")
-	}
-	if !g.Resolve("a", 1, true) {
-		t.Fatal("owner's clean resolve did not land")
-	}
-	if v := g.Claim("b", 1); v.Verdict != VerdictClean {
-		t.Fatalf("claim on clean class = %v, want VerdictClean", v.Verdict)
-	}
-	// A resolve after the fact (zombie) must not flip a settled class.
-	if g.Resolve("a", 1, false) {
-		t.Fatal("resolve on a settled class landed")
-	}
-
-	// Dirty is sticky: claimants run inline forever.
-	g.Claim("a", 2)
-	if g.Resolve("a", 2, false) {
-		t.Fatal("dirty resolve reported clean")
-	}
-	if v := g.Claim("b", 2); v.Verdict != VerdictRun {
-		t.Fatalf("claim on dirty class = %v, want VerdictRun", v.Verdict)
-	}
-
-	// ReleaseOwner frees only the owner's pending classes; settled ones stay.
-	g.Claim("a", 3)
-	g.ReleaseOwner("a")
-	if v := g.Claim("b", 3); v.Verdict != VerdictOwn {
-		t.Fatalf("claim on released class = %v, want VerdictOwn", v.Verdict)
-	}
-	if v := g.Claim("c", 1); v.Verdict != VerdictClean {
-		t.Fatalf("settled class lost by ReleaseOwner: %v", v.Verdict)
-	}
-	if g.Resolve("a", 3, true) {
-		t.Fatal("released owner's late resolve landed")
-	}
-
-	if classes, attributed := g.Stats(); classes != 3 || attributed != 2 {
-		t.Errorf("Stats = %d classes, %d attributed; want 3 and 2", classes, attributed)
-	}
-}
-
-// TestCrossShardAttributionSequential: three shards of one campaign run
-// back to back against a shared registry. Every crash-state class is
-// post-run by exactly one shard — the union of post-runs equals the
-// single-process pruned run's — and the merged report set is byte-identical
-// to the unsharded campaign.
-func TestCrossShardAttributionSequential(t *testing.T) {
-	seq, err := Run(Config{}, manyFPTarget("xshard-seq"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := Run(Config{}, manyFPTarget("xshard-pruned"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const shards = 3
-	reg := NewClassRegistry()
-	union := newReportSet()
-	totalPost, totalCross := 0, 0
-	for idx := 0; idx < shards; idx++ {
-		res, err := Run(Config{
-			ShardCount: shards,
-			ShardIndex: idx,
-			Verdicts:   reg.Bind(fmt.Sprintf("shard%d", idx)),
-		}, manyFPTarget("xshard"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.BucketedFailurePoints(); got != res.FailurePoints {
-			t.Errorf("shard %d: buckets sum to %d, want %d: %+v", idx, got, res.FailurePoints, res)
-		}
-		for _, rep := range res.Reports {
-			union.add(rep)
-		}
-		totalPost += res.PostRuns
-		totalCross += res.CrossShardPrunedFailurePoints
-	}
-
-	if got := sortedKeys(&Result{Reports: union.snapshot()}); !equalKeys(got, sortedKeys(seq)) {
-		t.Errorf("cross-shard union diverges from sequential:\nunion: %v\nseq:   %v", got, sortedKeys(seq))
-	}
-	// Sequential shards never race on a class, so the representative count
-	// is exact: one post-run per global class, like the unsharded pruned run.
-	if totalPost != pruned.PostRuns {
-		t.Errorf("total post-runs across shards = %d, want %d (one per global class)", totalPost, pruned.PostRuns)
-	}
-	if totalCross == 0 && pruned.PrunedFailurePoints > 0 {
-		t.Error("no cross-shard attributions despite duplicate crash states; the registry did nothing")
-	}
-}
-
-// TestCrossShardAttributionConcurrent is the same campaign with all three
-// shards running at once on parallel runners — the registry is hit from
-// many goroutines (run under -race in CI). Ownership may race (a class
-// claimed while pending runs inline), so only soundness is asserted: the
-// union must stay byte-identical and every shard's buckets must sum.
-func TestCrossShardAttributionConcurrent(t *testing.T) {
-	seq, err := Run(Config{}, manyFPTarget("xshard-conc-seq"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const shards = 3
-	reg := NewClassRegistry()
-	union := newReportSet()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errs := make([]error, shards)
-	for idx := 0; idx < shards; idx++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			res, err := Run(Config{
-				Workers:    2,
-				ShardCount: shards,
-				ShardIndex: idx,
-				Verdicts:   reg.Bind(fmt.Sprintf("shard%d", idx)),
-			}, manyFPTarget("xshard-conc"))
-			if err != nil {
-				errs[idx] = err
-				return
-			}
-			if got := res.BucketedFailurePoints(); got != res.FailurePoints {
-				errs[idx] = fmt.Errorf("buckets sum to %d, want %d", got, res.FailurePoints)
-				return
-			}
-			mu.Lock()
-			for _, rep := range res.Reports {
-				union.add(rep)
-			}
-			mu.Unlock()
-		}(idx)
-	}
-	wg.Wait()
-	for idx, err := range errs {
-		if err != nil {
-			t.Fatalf("shard %d: %v", idx, err)
-		}
-	}
-	if got := sortedKeys(&Result{Reports: union.snapshot()}); !equalKeys(got, sortedKeys(seq)) {
-		t.Errorf("concurrent cross-shard union diverges:\nunion: %v\nseq:   %v", got, sortedKeys(seq))
-	}
-}
-
-// recordingSource wraps a VerdictSource and captures clean resolutions —
-// the shape of a verdict cache being filled.
-type recordingSource struct {
-	inner    VerdictSource
+// mapSource is a VerdictSource over an in-memory map: lookups answer from
+// it, and stores fill it (cold) or are counted and dropped (warm).
+type mapSource struct {
 	mu       sync.Mutex
-	resolved map[uint64][]Report
+	verdicts map[uint64][]Report
+	fill     bool
+	stores   int
 }
 
-func (s *recordingSource) Claim(fpr uint64) ClassClaim { return s.inner.Claim(fpr) }
-func (s *recordingSource) Resolve(fpr uint64, clean bool, fresh []Report) {
-	s.inner.Resolve(fpr, clean, fresh)
-	if clean {
-		s.mu.Lock()
-		s.resolved[fpr] = append([]Report(nil), fresh...)
-		s.mu.Unlock()
+func (s *mapSource) Lookup(fpr uint64) ([]Report, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	reps, ok := s.verdicts[fpr]
+	return reps, ok
+}
+
+func (s *mapSource) Store(fpr uint64, reports []Report) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stores++
+	if s.fill {
+		s.verdicts[fpr] = append([]Report(nil), reports...)
 	}
 }
-
-// cachedSource answers every known fingerprint VerdictCached — a fully
-// warm cross-campaign cache.
-type cachedSource struct{ verdicts map[uint64][]Report }
-
-func (s cachedSource) Claim(fpr uint64) ClassClaim {
-	if reps, ok := s.verdicts[fpr]; ok {
-		return ClassClaim{Verdict: VerdictCached, Reports: reps}
-	}
-	return ClassClaim{Verdict: VerdictOwn}
-}
-func (s cachedSource) Resolve(uint64, bool, []Report) {}
 
 // TestCachedVerdictsSeedReports: a run against a fully warm cache post-runs
 // nothing, lands every class in the CacheHits bucket, and still reports the
 // cold run's exact key set — the cached reports are re-seeded, not lost.
 func TestCachedVerdictsSeedReports(t *testing.T) {
-	rec := &recordingSource{inner: NewClassRegistry().Bind("cold"), resolved: make(map[uint64][]Report)}
-	cold, err := Run(Config{Verdicts: rec}, manyFPTarget("vcache-cold"))
+	cache := &mapSource{verdicts: make(map[uint64][]Report), fill: true}
+	cold, err := Run(Config{Verdicts: cache}, manyFPTarget("vcache-cold"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.resolved) == 0 {
-		t.Fatal("cold run resolved no classes; nothing to cache")
+	if len(cache.verdicts) == 0 || len(cache.verdicts) != cold.CrashStateClasses {
+		t.Fatalf("cold run stored %d class verdict(s), want one per class (%d)", len(cache.verdicts), cold.CrashStateClasses)
 	}
 
-	warm, err := Run(Config{Verdicts: cachedSource{verdicts: rec.resolved}}, manyFPTarget("vcache-warm"))
+	cache.fill, cache.stores = false, 0
+	warm, err := Run(Config{Verdicts: cache}, manyFPTarget("vcache-warm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.PostRuns != 0 {
-		t.Errorf("warm run post-ran %d classes, want 0 (everything cached)", warm.PostRuns)
+	if warm.PostRuns != 0 || cache.stores != 0 {
+		t.Errorf("warm run post-ran %d classes and stored %d, want 0 and 0 (everything cached)", warm.PostRuns, cache.stores)
 	}
 	if warm.CacheHitFailurePoints != cold.CrashStateClasses {
 		t.Errorf("cache hits = %d, want one per class (%d)", warm.CacheHitFailurePoints, cold.CrashStateClasses)
@@ -233,41 +68,21 @@ func TestCachedVerdictsSeedReports(t *testing.T) {
 	}
 }
 
-// dirtyResolver wraps a registry binding and publishes every resolution as
-// dirty — the view a second run has of a predecessor whose representatives
-// all died or were quarantined.
-type dirtyResolver struct{ inner VerdictSource }
-
-func (s dirtyResolver) Claim(fpr uint64) ClassClaim { return s.inner.Claim(fpr) }
-func (s dirtyResolver) Resolve(fpr uint64, clean bool, fresh []Report) {
-	s.inner.Resolve(fpr, false, nil)
-}
-
-// TestDirtyRepresentativesNeverAttribute: when every class resolved dirty,
-// a second run sharing the registry attributes nothing and re-runs every
-// representative itself — degrading to PR 6 pruning, never to trust.
-func TestDirtyRepresentativesNeverAttribute(t *testing.T) {
-	plain, err := Run(Config{}, manyFPTarget("dirty-plain"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewClassRegistry()
-	if _, err := Run(Config{Verdicts: dirtyResolver{inner: reg.Bind("a")}}, manyFPTarget("dirty-a")); err != nil {
-		t.Fatal(err)
-	}
-	second, err := Run(Config{Verdicts: reg.Bind("b")}, manyFPTarget("dirty-b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.CrossShardPrunedFailurePoints != 0 || second.CacheHitFailurePoints != 0 {
-		t.Errorf("second run attributed %d cross-shard + %d cached from dirty classes; poisoned verdicts must never attribute",
-			second.CrossShardPrunedFailurePoints, second.CacheHitFailurePoints)
-	}
-	if second.PostRuns != plain.PostRuns {
-		t.Errorf("second run post-ran %d, want %d (every representative re-run inline)", second.PostRuns, plain.PostRuns)
-	}
-	if !equalKeys(sortedKeys(second), sortedKeys(plain)) {
-		t.Errorf("second run keys diverge from plain run:\nsecond: %v\nplain:  %v", sortedKeys(second), sortedKeys(plain))
+// TestDirtyClassesNeverStored: a representative whose post-run faults
+// poisons its class, and a poisoned class is never handed to the cache —
+// a later campaign must run it again.
+func TestDirtyClassesNeverStored(t *testing.T) {
+	target := manyFPTarget("dirty-store")
+	target.Post = func(*Ctx) error { return errors.New("recovery refused the pool") }
+	for _, workers := range []int{1, 2} {
+		cache := &mapSource{verdicts: make(map[uint64][]Report), fill: true}
+		res, err := Run(Config{Workers: workers, Verdicts: cache}, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PostRuns == 0 || cache.stores != 0 {
+			t.Errorf("workers=%d: %d post-run(s), %d store(s); want post-runs and no stores", workers, res.PostRuns, cache.stores)
+		}
 	}
 }
 

@@ -88,10 +88,10 @@ func CheckSeed(seed int64, knob Knob) error {
 //     observed post-read byte digest predicted by the oracle, and
 //     identical pruning decisions across sequential, parallel and
 //     file-backed (cold-page-compacted) runs;
-//   - ModeDetect as a three-shard fleet sharing a core.ClassRegistry
-//     (cross-shard verdict attribution): identical merged key set, exact
-//     per-shard bucket accounting, and exactly one post-run per global
-//     crash-state class across the fleet;
+//   - ModeDetect as a three-shard fleet partitioned by crash-state class:
+//     identical merged key set, exact per-shard bucket accounting, and
+//     exactly the single-process run's post-runs and classes across the
+//     fleet;
 //   - ModeDetect as a cold+warm campaign pair sharing an on-disk verdict
 //     cache (internal/vcache): both runs reproduce the oracle's key set,
 //     the warm run's cache hits equal the entries the cold run persisted
@@ -217,11 +217,11 @@ func CheckProgram(p Program) error {
 		}
 	}
 
-	// Verdict sharing (verdicts.go): the same program as a three-shard
-	// fleet sharing a class registry, and as a cold+warm campaign pair
-	// sharing an on-disk verdict cache. Both must reproduce the oracle's
-	// exact key set while redistributing (cross-shard) or skipping
-	// (warm-cache) the post-runs.
+	// Class sharding and verdict reuse (verdicts.go): the same program as
+	// a three-shard fleet partitioned by crash-state class, and as a
+	// cold+warm campaign pair sharing an on-disk verdict cache. Both must
+	// reproduce the oracle's exact key set while redistributing
+	// (cross-shard) or skipping (warm-cache) the post-runs.
 	if err := checkCrossShard(p, want, base); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package fuzzgen
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -72,7 +73,7 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 	log := &PostReadLog{}
 	res, err := core.Run(core.Config{PoolSize: p.PoolSize, Replay: a}, BuildTargetRecording(p, log))
 	if err != nil {
-		return fmt.Errorf("fuzzgen: %q: replay: %w", p.Name, err)
+		return replayMismatch(p, "recorded", fmt.Errorf("fuzzgen: %q: replay: %w", p.Name, err))
 	}
 	if err := compare(p, "recorded", "keys",
 		strings.Join(want.Keys, " ; "), joinKeys(res)); err != nil {
@@ -106,7 +107,7 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 			Replay:     a,
 		}, BuildTargetRecording(p, shardLog))
 		if err != nil {
-			return fmt.Errorf("fuzzgen: %q: replay shard %d: %w", p.Name, idx, err)
+			return replayMismatch(p, "recorded-shards", fmt.Errorf("fuzzgen: %q: replay shard %d: %w", p.Name, idx, err))
 		}
 		if err := compare(p, "recorded-shards", fmt.Sprintf("shard%d-bucket-accounting", idx),
 			fmt.Sprint(res.FailurePoints), fmt.Sprint(res.BucketedFailurePoints())); err != nil {
@@ -142,7 +143,7 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 			CompletedFailurePoints: completed,
 		}, BuildTarget(p))
 		if err != nil {
-			return nil, fmt.Errorf("fuzzgen: %q: resume replay (keepTrace=%v): %w", p.Name, keepTrace, err)
+			return nil, replayMismatch(p, "recorded-resume", fmt.Errorf("fuzzgen: %q: resume replay (keepTrace=%v): %w", p.Name, keepTrace, err))
 		}
 		return res, nil
 	}
@@ -167,4 +168,17 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 	}
 	return compare(p, "recorded-resume", "bucket-accounting",
 		fmt.Sprint(jumped.FailurePoints), fmt.Sprint(jumped.BucketedFailurePoints()))
+}
+
+// replayMismatch reports a replay that the fingerprint tripwire stopped as
+// a differential mismatch: the replayed shadow fingerprinted a crash state
+// differently from the recording pass, which only an engine inconsistency
+// can cause (a fingerprint the line cache got wrong, a stale checkpoint).
+// Every other error passes through unchanged.
+func replayMismatch(p Program, config string, err error) error {
+	if errors.Is(err, core.ErrFingerprintMismatch) {
+		return &Mismatch{Program: p, Config: config, Field: "replay-fingerprint",
+			Want: "the recorded crash-state fingerprints", Got: err.Error()}
+	}
+	return err
 }

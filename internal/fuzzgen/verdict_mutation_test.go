@@ -8,20 +8,17 @@ import (
 	"testing"
 
 	"github.com/pmemgo/xfdetector/internal/core"
-	"github.com/pmemgo/xfdetector/internal/pmem"
 	"github.com/pmemgo/xfdetector/internal/vcache"
 )
 
-// Seeded mutants for the verdict-sharing layer (PR 9). Verdict reuse has
-// two ways to go wrong that no in-process check can see: trusting a cached
-// verdict from a *different* program whose pre-failure states happen to
+// Seeded mutant for the verdict cache (PR 9). Cross-campaign reuse can go
+// wrong in a way no in-process check can see: trusting a cached verdict
+// from a *different* program whose pre-failure states happen to
 // fingerprint alike (the cache's identity key exists solely to prevent
-// this), and attributing a verdict from a representative that never
-// completed cleanly (the registry's dirty state exists solely to prevent
-// this). Each mutant disables exactly one of those guards; the battery
-// proves the differential suite notices the lost report keys.
+// this). The mutant disables that guard; the battery proves the
+// differential suite notices the lost report keys.
 
-// verdictMutationSeeds is the per-knob seed count of both batteries.
+// verdictMutationSeeds is the per-knob seed count of the battery.
 const verdictMutationSeeds = 40
 
 // widenPost returns p with one extra post-failure load covering the whole
@@ -103,91 +100,4 @@ func TestStaleCacheMutationCaught(t *testing.T) {
 			verdictMutationSeeds, len(knobs))
 	}
 	t.Logf("stale-cache caught on %d/%d seed-knob pairs", caught, verdictMutationSeeds*len(knobs))
-}
-
-// TestPoisonedRepresentativeMutationCaught proves the battery catches a
-// registry that attributes verdicts from representatives that never ran: a
-// three-shard fleet whose shard 0 quarantines every failure point (every
-// image copy fails) publishes all its classes dirty, so mutant-off the
-// other shards run those classes inline and the fleet's merged key set
-// equals the two healthy shards running alone. With the mutant flipping
-// dirty resolutions to clean (core.SetAttributeDirtyVerdictsForTest), the
-// healthy shards attribute classes nobody ever post-ran and their keys
-// vanish from the union. Must not run in parallel: the mutation switch is a
-// package-level toggle in internal/core.
-func TestPoisonedRepresentativeMutationCaught(t *testing.T) {
-	knobs := []Knob{KnobMixed, KnobStaleCommit}
-	failSnap := &pmem.FaultHooks{Snapshot: func() error { return errors.New("injected image-copy fault") }}
-	runShard := func(p Program, idx int, v core.VerdictSource, h *pmem.FaultHooks) (*core.Result, error) {
-		res, err := core.Run(core.Config{
-			PoolSize:   p.PoolSize,
-			ShardCount: verdictShards,
-			ShardIndex: idx,
-			Verdicts:   v,
-			FaultHooks: h,
-		}, BuildTarget(p))
-		if err != nil {
-			return nil, fmt.Errorf("fuzzgen: %q: shard %d harness error: %w", p.Name, idx, err)
-		}
-		return res, nil
-	}
-	scenario := func(seed int64, knob Knob) error {
-		p := Generate(seed, knob)
-		// The expected union: shard 0 contributes nothing (all quarantined),
-		// and verdict sharing among the healthy shards never changes their
-		// combined key set — so the fleet must match shards 1 and 2 running
-		// with no registry at all.
-		s1, err := runShard(p, 1, nil, nil)
-		if err != nil {
-			return err
-		}
-		s2, err := runShard(p, 2, nil, nil)
-		if err != nil {
-			return err
-		}
-		expect := unionKeys(s1, s2)
-
-		reg := core.NewClassRegistry()
-		results := make([]*core.Result, verdictShards)
-		for idx := 0; idx < verdictShards; idx++ {
-			hooks := (*pmem.FaultHooks)(nil)
-			if idx == 0 {
-				hooks = failSnap
-			}
-			res, err := runShard(p, idx, reg.Bind(fmt.Sprintf("shard%d", idx)), hooks)
-			if err != nil {
-				return err
-			}
-			results[idx] = res
-		}
-		return compare(p, "poisoned-representative", "keys", expect, unionKeys(results...))
-	}
-
-	for seed := int64(0); seed < verdictMutationSeeds; seed++ {
-		for _, k := range knobs {
-			if err := scenario(seed, k); err != nil {
-				t.Fatalf("pre-mutation sanity failed (seed %d, knob %s): %v", seed, k, err)
-			}
-		}
-	}
-
-	core.SetAttributeDirtyVerdictsForTest(true)
-	defer core.SetAttributeDirtyVerdictsForTest(false)
-	caught := 0
-	for seed := int64(0); seed < verdictMutationSeeds; seed++ {
-		for _, k := range knobs {
-			err := scenario(seed, k)
-			var m *Mismatch
-			if errors.As(err, &m) {
-				caught++
-			} else if err != nil {
-				t.Fatalf("seed %d knob %s: non-mismatch error under mutation: %v", seed, k, err)
-			}
-		}
-	}
-	if caught == 0 {
-		t.Fatalf("seeded poisoned-representative mutation went undetected on all %d seeds x %d knobs",
-			verdictMutationSeeds, len(knobs))
-	}
-	t.Logf("poisoned-representative caught on %d/%d seed-knob pairs", caught, verdictMutationSeeds*len(knobs))
 }

@@ -12,11 +12,11 @@ import (
 	"github.com/pmemgo/xfdetector/internal/vcache"
 )
 
-// Differential configurations for cross-shard and cross-campaign verdict
-// sharing (the VerdictSource protocol). Both are held to the brute-force
-// oracle like every other engine configuration: sharing verdicts may only
-// redistribute post-runs, never change the merged key set or the bytes any
-// surviving post-run observes.
+// Differential configurations for class sharding and cross-campaign
+// verdict reuse (the VerdictSource cache). Both are held to the
+// brute-force oracle like every other engine configuration: they may only
+// redistribute or skip post-runs, never change the merged key set or the
+// bytes any surviving post-run observes.
 
 // verdictShards is the shard width of the cross-shard configuration.
 const verdictShards = 3
@@ -66,27 +66,22 @@ func checkDigestsPredicted(p Program, config string, want *OracleResult, log *Po
 	return nil
 }
 
-// checkCrossShard runs p as verdictShards sequential shards of one campaign
-// sharing a core.ClassRegistry — the in-process form of the -serve daemon's
-// class registry, settled by direct Resolve calls where the daemon reads
-// the representative's checkpoint line — and verifies the sharing is
-// invisible: the union of the shards' report keys equals the oracle's key
-// set, every shard's failure points land in exactly one Result bucket, and
-// the total post-runs across the fleet equal the single-process pruned
-// run's (base) — one representative per global crash-state class, however
-// the members are distributed. Sequential shard execution makes ownership
-// deterministic, so the post-run count is exact, not a bound.
+// checkCrossShard runs p as verdictShards shards of one campaign, each
+// owning the crash-state classes its fingerprints map to, and verifies the
+// split is invisible: the union of the shards' report keys equals the
+// oracle's key set, every shard's failure points land in exactly one
+// Result bucket, and the fleet's total post-runs and tested classes equal
+// the single-process pruned run's (base) — no class is split across
+// shards, so the counts are exact, not bounds.
 func checkCrossShard(p Program, want *OracleResult, base *core.Result) error {
-	reg := core.NewClassRegistry()
 	log := &PostReadLog{}
 	results := make([]*core.Result, 0, verdictShards)
-	totalPost, totalCross := 0, 0
+	totalPost, totalClasses := 0, 0
 	for idx := 0; idx < verdictShards; idx++ {
 		cfg := core.Config{
 			PoolSize:   p.PoolSize,
 			ShardCount: verdictShards,
 			ShardIndex: idx,
-			Verdicts:   reg.Bind(fmt.Sprintf("shard%d", idx)),
 		}
 		res, err := core.Run(cfg, BuildTargetRecording(p, log))
 		if err != nil {
@@ -97,7 +92,7 @@ func checkCrossShard(p Program, want *OracleResult, base *core.Result) error {
 			return err
 		}
 		totalPost += res.PostRuns
-		totalCross += res.CrossShardPrunedFailurePoints
+		totalClasses += res.CrashStateClasses
 		results = append(results, res)
 	}
 	if err := compare(p, "cross-shard", "keys",
@@ -108,21 +103,9 @@ func checkCrossShard(p Program, want *OracleResult, base *core.Result) error {
 		fmt.Sprint(base.PostRuns), fmt.Sprint(totalPost)); err != nil {
 		return err
 	}
-	// Shards of an update-heavy program share classes; attribution must
-	// actually fire whenever the single-process run found duplicates spread
-	// across the shard partition (a registry that silently answers
-	// VerdictRun forever would pass every soundness check while delivering
-	// zero speedup).
-	if totalCross == 0 && base.PrunedFailurePoints > 0 {
-		sharded := 0
-		for _, res := range results {
-			sharded += res.PrunedFailurePoints
-		}
-		if sharded < base.PrunedFailurePoints {
-			return &Mismatch{Program: p, Config: "cross-shard", Field: "attribution-liveness",
-				Want: fmt.Sprintf("cross-shard attributions for %d duplicate crash states", base.PrunedFailurePoints),
-				Got:  fmt.Sprintf("0 attributions, %d locally pruned", sharded)}
-		}
+	if err := compare(p, "cross-shard", "total-classes",
+		fmt.Sprint(base.CrashStateClasses), fmt.Sprint(totalClasses)); err != nil {
+		return err
 	}
 	return checkDigestsPredicted(p, "cross-shard", want, log)
 }

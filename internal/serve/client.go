@@ -109,11 +109,15 @@ func (c *Client) Acquire(worker string, caps ...string) (*LeaseGrant, error) {
 	return &grant, nil
 }
 
-// Claim files a crash-state class claim on the lease.
-func (c *Client) Claim(leaseID string, fingerprint uint64) (ClaimReply, error) {
-	var reply ClaimReply
-	err := c.postJSON("/leases/"+leaseID+"/claim", map[string]any{"fpr": fingerprint}, &reply)
-	return reply, err
+// FetchVerdicts fetches the verdict-cache entries for the lease's
+// campaign, keyed by crash-state fingerprint. The fetch doubles as a
+// heartbeat.
+func (c *Client) FetchVerdicts(leaseID string) (LeaseVerdicts, error) {
+	var cached LeaseVerdicts
+	if err := c.do("GET", "/leases/"+leaseID+"/verdicts", "", nil, &cached); err != nil {
+		return nil, err
+	}
+	return cached, nil
 }
 
 // SendLines streams a chunk of checkpoint JSONL (newline-terminated) to

@@ -106,17 +106,13 @@ type campaign struct {
 	state   string
 	failure string
 	result  *core.Result
-	// registry is the campaign's cross-shard crash-state class table:
-	// shard children claim classes over the lease API, and each owned
-	// class settles when its representative's checkpoint line lands, so
-	// each class's representative post-runs on exactly one shard. identity
-	// keys the daemon's cross-campaign verdict cache; noCache opts the
-	// campaign out of it (-no-verdict-cache in the submitted args).
-	// cacheHits counts claims answered from the on-disk cache.
-	registry  *core.ClassRegistry
-	identity  uint64
-	noCache   bool
-	cacheHits int
+	// identity keys the daemon's cross-campaign verdict cache; noCache
+	// opts the campaign out of it (-no-verdict-cache in the submitted
+	// args). settled holds the fingerprints whose first line has landed:
+	// only that line may store its class (storeLineLocked).
+	identity uint64
+	noCache  bool
+	settled  map[uint64]bool
 	// recording is true while the daemon's record-once pass runs; the
 	// campaign's shards are not leased until it finishes. artifact is the
 	// recorded pre-failure artifact every shard replays ("" after a failed
@@ -152,8 +148,8 @@ type Server struct {
 	// Cache is the daemon's cross-campaign verdict cache (nil disables
 	// it): clean class verdicts read off any campaign's landed checkpoint
 	// lines are persisted keyed by (campaign argv identity, crash-state
-	// fingerprint) and answer Claim calls from later campaigns with the
-	// same argv.
+	// fingerprint) and handed to the shards of later campaigns with the
+	// same argv when their leases start (CachedVerdicts).
 	Cache *vcache.Cache
 	// Record, when non-nil, is the record-once launcher: it runs the
 	// campaign's deterministic pre-failure pass (the CLI execs itself with
@@ -254,9 +250,9 @@ func (s *Server) Submit(spec CampaignSpec) (string, error) {
 		spec:     spec,
 		merger:   ckpt.NewMerger(),
 		state:    campaignRunning,
-		registry: core.NewClassRegistry(),
 		identity: vcache.Identity(spec.Args...),
 		noCache:  specHasFlag(spec.Args, "-no-verdict-cache"),
+		settled:  make(map[uint64]bool),
 	}
 	// The campaign takes the first c<N> that does not exist yet. Shard
 	// files are opened for appending, so a directory left by an earlier
@@ -444,10 +440,7 @@ func hasCap(caps []string, want string) bool {
 }
 
 // expireLocked reschedules every shard whose lease missed its heartbeat
-// deadline. The expired lease's pending class claims are released so the
-// classes can be re-claimed — a representative whose worker died never
-// lands its line, and holding its classes pending forever would make every
-// other shard run them inline behind a verdict that will never come.
+// deadline.
 func (s *Server) expireLocked() {
 	now := s.now()
 	for id, l := range s.leases {
@@ -461,13 +454,10 @@ func (s *Server) expireLocked() {
 	}
 }
 
-// endLeaseLocked drops a lease from the table and releases its pending
-// class claims: a class whose representative's line never landed was
-// never settled, so the next claimant owns it afresh.
+// endLeaseLocked drops a lease from the table.
 func (s *Server) endLeaseLocked(l *lease) {
 	delete(s.leases, l.id)
 	l.sh.lease = ""
-	l.c.registry.ReleaseOwner(l.id)
 }
 
 // rescheduleLocked returns a shard to the pending queue with -resume, or
@@ -507,10 +497,10 @@ func (s *Server) Heartbeat(id string) error {
 
 // AppendLines takes a chunk of checkpoint JSONL from a lease, appends it
 // durably to the shard's daemon-held file, folds each line into the
-// campaign's online merge, and lets each per-point line settle the class
-// its lease owns (resolveLineLocked) — only now, with the
-// representative's reports durable here, may other shards attribute to
-// them. Lines from an expired lease are rejected — its shard may already
+// campaign's online merge, and caches the clean classes whose first line
+// it carries (storeLineLocked) — only now, with the representative's
+// reports durable here, may a later campaign reuse them. Lines from an
+// expired lease are rejected — its shard may already
 // be streaming from another worker, and double-counting a summary would
 // corrupt the bucket accounting.
 func (s *Server) AppendLines(id string, data []byte) error {
@@ -546,7 +536,7 @@ func (s *Server) AppendLines(id string, data []byte) error {
 		if err := l.c.merger.Add(source, line); err != nil {
 			return err
 		}
-		s.resolveLineLocked(l, line)
+		s.storeLineLocked(l.c, line)
 	}
 	l.sh.lines += len(lines)
 	return nil

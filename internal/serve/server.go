@@ -54,15 +54,10 @@ type CampaignStatus struct {
 	Total   int     `json:"total"` // -1 until a shard completes
 	Reports int     `json:"reports"`
 	Buckets Buckets `json:"buckets"`
-	// Registry-side verdict-sharing counters, live while the campaign
-	// runs: distinct crash-state classes claimed over the lease API (a
-	// class answered from the cache never enters the registry and is not
-	// counted), clean verdicts attributed to non-owning shards, and claims
-	// answered from the daemon's cross-campaign cache. (Buckets carries the
-	// shard-side view summed from completed summaries; these count as
-	// claims happen.)
+	// CrashStateClasses and CacheHits are the merged shard summaries'
+	// tested classes and verdict-cache hits: zero until a shard completes.
+	// Shards own disjoint classes, so the class sum is the campaign's.
 	CrashStateClasses int    `json:"crash_state_classes"`
-	CrossShardPruned  int    `json:"cross_shard_pruned"`
 	CacheHits         int    `json:"cache_hits"`
 	Clean             bool   `json:"clean"`
 	Incomplete        bool   `json:"incomplete"`
@@ -101,14 +96,14 @@ func (s *Server) statusLocked(c *campaign) CampaignStatus {
 			OtherShard: res.OtherShardFailurePoints,
 			Abandoned:  res.AbandonedPostRuns,
 		},
-		CacheHits:        c.cacheHits,
-		Clean:            res.Clean(),
-		Incomplete:       res.Incomplete,
-		IncompleteReason: res.IncompleteReason,
-		FailurePoints:    res.FailurePoints,
-		ExitCode:         -1,
+		CrashStateClasses: res.CrashStateClasses,
+		CacheHits:         res.CacheHitFailurePoints,
+		Clean:             res.Clean(),
+		Incomplete:        res.Incomplete,
+		IncompleteReason:  res.IncompleteReason,
+		FailurePoints:     res.FailurePoints,
+		ExitCode:          -1,
 	}
-	st.CrashStateClasses, st.CrossShardPruned = c.registry.Stats()
 	for _, sh := range c.shards {
 		st.ShardStates = append(st.ShardStates, ShardStatus{
 			Index: sh.index, State: sh.state, Worker: sh.worker,
@@ -167,12 +162,13 @@ func (s *Server) CampaignStatus(id string) (CampaignStatus, error) {
 //	POST /leases/{id}/lines      raw JSONL chunk -> 200 | 409 lease gone
 //	POST /leases/{id}/heartbeat  -> 200 | 409
 //	GET  /leases/{id}/artifact   -> raw XFDR bytes | 404 none | 409
-//	POST /leases/{id}/claim      {"fpr":N} -> {"verdict":"own|run|clean|cached","reports":[...]} | 409
+//	GET  /leases/{id}/verdicts   -> {"<fpr>":[reports...],...} | 409
 //	POST /leases/{id}/done       {"code":0,"released":false} -> 200 | 409
 //	GET  /healthz                -> 200
 //
-// A claimed class settles when its representative's per-point line
-// arrives on /lines (AppendLines); no endpoint carries verdicts.
+// A shard child fetches its campaign's cached verdicts once, when it
+// starts; the cache grows from the per-point lines arriving on /lines
+// (AppendLines).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -263,20 +259,13 @@ func (s *Server) Handler() http.Handler {
 		io.Copy(w, f)
 	})
 
-	mux.HandleFunc("POST /leases/{id}/claim", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			FPrint uint64 `json:"fpr"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		reply, err := s.Claim(r.PathValue("id"), req.FPrint)
+	mux.HandleFunc("GET /leases/{id}/verdicts", func(w http.ResponseWriter, r *http.Request) {
+		cached, err := s.CachedVerdicts(r.PathValue("id"))
 		if err != nil {
 			leaseErr(w, err)
 			return
 		}
-		writeJSON(w, reply)
+		writeJSON(w, cached)
 	})
 
 	mux.HandleFunc("POST /leases/{id}/done", func(w http.ResponseWriter, r *http.Request) {

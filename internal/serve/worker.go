@@ -153,8 +153,8 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) error {
 		return err
 	}
 	cmd := exec.Command(w.Exe, grant.Args...)
-	// The lease rides along so the child's runner can claim crash-state
-	// classes against the daemon's per-campaign registry.
+	// The lease rides along so the child's runner can fetch its
+	// campaign's cached crash-state verdicts from the daemon.
 	cmd.Env = append(append(os.Environ(), w.ExtraEnv...),
 		ShardArgsEnv+"="+string(encoded),
 		VerdictURLEnv+"="+w.Client.BaseURL,

@@ -199,6 +199,22 @@ func (c *Cache) Store(id, fpr uint64, reports []core.Report) error {
 	return nil
 }
 
+// Entries returns every cached verdict of identity id, keyed by
+// fingerprint: the -serve daemon hands a shard child its campaign's
+// entries once per lease.
+func (c *Cache) Entries(id uint64) map[uint64][]core.Report {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	want := makeKey(id, 0).id
+	out := make(map[uint64][]core.Report)
+	for k, reports := range c.entries {
+		if k.id == want {
+			out[k.fpr] = append([]core.Report(nil), reports...)
+		}
+	}
+	return out
+}
+
 // Len reports the number of cached verdicts.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -209,11 +225,9 @@ func (c *Cache) Len() int {
 // Close closes the backing file; the cache must not be used afterwards.
 func (c *Cache) Close() error { return c.f.Close() }
 
-// Bind adapts the cache to a core.VerdictSource for one campaign identity.
-// Claim answers VerdictCached for cached classes and VerdictOwn otherwise
-// (a standalone campaign has no cross-shard contention — the local class
-// map already serializes members); Resolve stores clean verdicts and drops
-// dirty ones.
+// Bind adapts the cache to a core.VerdictSource for one campaign identity:
+// lookups answer from the cache, and clean representatives' reports are
+// stored (a store failure is reported and degrades to later misses).
 func (c *Cache) Bind(id uint64) core.VerdictSource {
 	return &boundCache{c: c, id: id}
 }
@@ -223,18 +237,12 @@ type boundCache struct {
 	id uint64
 }
 
-func (b *boundCache) Claim(fpr uint64) core.ClassClaim {
-	if reports, ok := b.c.Lookup(b.id, fpr); ok {
-		return core.ClassClaim{Verdict: core.VerdictCached, Reports: reports}
-	}
-	return core.ClassClaim{Verdict: core.VerdictOwn}
+func (b *boundCache) Lookup(fpr uint64) ([]core.Report, bool) {
+	return b.c.Lookup(b.id, fpr)
 }
 
-func (b *boundCache) Resolve(fpr uint64, clean bool, fresh []core.Report) {
-	if !clean {
-		return
-	}
-	if err := b.c.Store(b.id, fpr, fresh); err != nil {
+func (b *boundCache) Store(fpr uint64, reports []core.Report) {
+	if err := b.c.Store(b.id, fpr, reports); err != nil {
 		fmt.Fprintf(os.Stderr, "xfdetector: %v\n", err)
 	}
 }

@@ -117,28 +117,34 @@ func TestMidFileCorruptionRejected(t *testing.T) {
 }
 
 // TestBindRoundTrip drives the VerdictSource adapter the way a runner
-// does: first campaign owns and resolves, second campaign gets cache hits
-// with the reports re-seeded; dirty verdicts are never cached.
+// does: the first campaign misses and stores its clean representative's
+// reports, a second campaign of the same program hits them, and another
+// program's identity shares nothing — neither through Lookup nor through
+// Entries, the daemon's per-lease handout.
 func TestBindRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "verdicts.cache")
 	c := mustOpen(t, path)
 	id := Identity("prog")
 	src := c.Bind(id)
 
-	if v := src.Claim(5); v.Verdict != core.VerdictOwn {
-		t.Fatalf("cold Claim = %v, want VerdictOwn", v.Verdict)
+	if _, ok := src.Lookup(5); ok {
+		t.Fatal("cold Lookup hit")
 	}
 	rep := core.Report{Class: core.CrossFailureSemantic, ReaderIP: "x.go:9"}
-	src.Resolve(5, true, []core.Report{rep})
-	src.Resolve(6, false, nil) // dirty: must not be cached
+	src.Store(5, []core.Report{rep})
 
-	warm := c.Bind(id)
-	v := warm.Claim(5)
-	if v.Verdict != core.VerdictCached || len(v.Reports) != 1 || v.Reports[0].DedupKey() != rep.DedupKey() {
-		t.Fatalf("warm Claim(5) = %+v, want cached with the resolved report", v)
+	reports, ok := c.Bind(id).Lookup(5)
+	if !ok || len(reports) != 1 || reports[0].DedupKey() != rep.DedupKey() {
+		t.Fatalf("warm Lookup(5) = %v, %v; want the stored report", reports, ok)
 	}
-	if v := warm.Claim(6); v.Verdict != core.VerdictOwn {
-		t.Fatalf("warm Claim(6) = %v, want VerdictOwn (dirty verdicts are never cached)", v.Verdict)
+	if _, ok := c.Bind(Identity("other")).Lookup(5); ok {
+		t.Fatal("another program's Lookup hit")
+	}
+	if got := c.Entries(id); len(got) != 1 || len(got[5]) != 1 {
+		t.Fatalf("Entries(id) = %v, want class 5 with its report", got)
+	}
+	if got := c.Entries(Identity("other")); len(got) != 0 {
+		t.Fatalf("Entries(other) = %v, want none", got)
 	}
 }
 
@@ -154,5 +160,8 @@ func TestIgnoreIdentityMutant(t *testing.T) {
 	}
 	if _, ok := c.Lookup(2, 7); !ok {
 		t.Fatal("mutant off? cross-identity lookup should hit under the mutant")
+	}
+	if got := c.Entries(2); len(got) != 1 {
+		t.Fatalf("mutant off? Entries(2) = %v, want the other identity's entry", got)
 	}
 }
