@@ -507,8 +507,9 @@ func BenchmarkPmobjTx(b *testing.B) {
 // BenchmarkParallelDetection measures the parallelized detector (the
 // future work of §6.2.1) against the sequential baseline on the Redis
 // workload, whose many failure points make the post-failure stage large.
-// On a single-core host the workers only add coordination overhead; the
-// speedup shape needs real cores (see EXPERIMENTS.md).
+// Every sibling repeats the pre-failure stage, so on a host with fewer
+// cores than workers the speedup shape does not show; it needs real cores
+// (see EXPERIMENTS.md).
 func BenchmarkParallelDetection(b *testing.B) {
 	cfg := workloads.TargetConfig{InitSize: 2, TestSize: 2, PostOps: true}
 	for _, workers := range []int{1, 4} {

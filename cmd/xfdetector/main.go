@@ -84,7 +84,7 @@ func realMain(args []string) int {
 		mode        = fs.String("mode", "detect", "detect | trace | original (the Fig. 12b configurations)")
 		maxFP       = fs.Int("max-failure-points", 0, "cap on injected failure points (0 = unlimited)")
 		poolMB      = fs.Int("pool-mb", 4, "PM pool size in MiB")
-		workers     = fs.Int("workers", 1, "post-failure worker goroutines (>1 enables parallel detection)")
+		workers     = fs.Int("workers", 1, "split this process's share of the campaign over this many in-process class shards (goroutines), each executing the program itself and post-running only the crash-state classes it owns; memory grows with the count")
 		postTimeout = fs.Duration("post-timeout", 0, "wall-clock deadline per post-failure run (0 = none)")
 		noPrune     = fs.Bool("no-prune", false, "run every failure point instead of testing one representative per crash-state class (ablation; the report-key set is identical either way)")
 		vcachePath  = fs.String("verdict-cache", "", "consult and extend this fsynced on-disk crash-state verdict cache, keyed by (program/config identity, fingerprint): failure points whose class a previous campaign of the identical program resolved cleanly skip their post-runs (CacheHits). With -spawn it is the in-process daemon's cache, one file for every shard, keyed by the campaign's argument vector; -serve holds its own under -workdir")
@@ -117,6 +117,9 @@ func realMain(args []string) int {
 	if *list {
 		listPatches()
 		return 0
+	}
+	if *workers < 1 {
+		return errorf("-workers must be >= 1")
 	}
 	modes := 0
 	for _, on := range []bool{*merge, *spawn != 0, *serveAddr != "", *workerURL != "", *submitURL != ""} {

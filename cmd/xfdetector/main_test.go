@@ -66,8 +66,8 @@ const campaign = "-workload btree -init 3 -test 80 -patch btree-skip-add-leaf"
 // TestKillAndResume is the acceptance test for crash-safe resume: a
 // checkpointed campaign killed with SIGKILL mid-run and then resumed must
 // produce the byte-identical deduplicated report set of an uninterrupted
-// run — sequentially and with the parallel engine's worker-goroutine
-// checkpoint callbacks.
+// run — sequentially and with checkpoint callbacks from four sibling
+// goroutines (-workers 4).
 func TestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs a full detection campaign")

@@ -83,6 +83,19 @@ func TestShardFlagValidation(t *testing.T) {
 	}
 }
 
+// TestWorkersFlagValidation: -workers below 1 is a usage error, not a
+// silently sequential campaign.
+func TestWorkersFlagValidation(t *testing.T) {
+	for _, args := range []string{
+		"-workload btree -init 2 -test 2 -workers -3",
+		"-workload btree -init 2 -test 2 -workers 0",
+	} {
+		if code, out := runCLI(t, args); code != 2 || !strings.Contains(out, "-workers must be >= 1") {
+			t.Errorf("%q exited %d, want 2 with a -workers usage error:\n%s", args, code, out)
+		}
+	}
+}
+
 // shardTable is the Table 4 workload matrix the sharded-equivalence
 // acceptance criterion runs over: the five micro benchmarks with a seeded
 // bug, Redis with the paper's Bug 3, and Memcached clean (whose empty

@@ -54,7 +54,7 @@ func table4Cases(t *testing.T) []table4Case {
 	}
 }
 
-// TestParallelEquivalenceAcrossTable4 pins the parallel engine's
+// TestParallelEquivalenceAcrossTable4 pins parallel detection's
 // equivalence contract on every evaluated program of the paper's Table 4:
 // a Workers>1 run must produce exactly the sequential run's report-key
 // set, failure-point count, post-run count and benign byte count. Where a

@@ -13,9 +13,9 @@ import (
 // contract on every evaluated program of the paper's Table 4: a run with
 // pruning enabled (the default) must produce the byte-identical
 // deduplicated report-key set of the -no-prune run — sequentially, under
-// workers (where members park behind in-flight representatives), and
-// across shards (where each shard prunes within its own failure-point
-// partition and the union must still cover everything). The accounting
+// workers (sibling class shards inside the process), and across shards
+// (where each shard prunes the classes it owns and the union must still
+// cover everything). The accounting
 // must be exact: every injected failure point is either post-run, pruned,
 // or delegated to another shard. A second pass repeats each workload's
 // update-heavy ablation configuration, where pruning actually collapses

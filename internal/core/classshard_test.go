@@ -48,4 +48,39 @@ func TestClassShardSpreadsBTreeClasses(t *testing.T) {
 		}
 		t.Logf("N = %d: %d classes split %v", n, len(classes), owned)
 	}
+	// Workers > 1 nests W sibling class shards inside each process shard:
+	// every class has exactly one owning sibling, inside the process that
+	// owns it, and every sibling owns at least a quarter of its fair share.
+	// Splitting the siblings by ClassShard(F, W) instead would still
+	// partition the classes but starve siblings: at N = W = 2, process 0
+	// owns the fingerprints below 2^63 and its sibling 1 those above.
+	for _, n := range []int{1, 2, 3} {
+		for _, w := range []int{2, 3} {
+			owned := make([]int, n*w)
+			for fpr := range classes {
+				owners := 0
+				for i := 0; i < n; i++ {
+					for j := 0; j < w; j++ {
+						if core.SiblingOwnsClass(fpr, n, i, w, j) {
+							owners++
+							owned[i*w+j]++
+							if core.ClassShard(fpr, n) != i {
+								t.Errorf("N = %d, W = %d: class %016x owned by sibling %d of shard %d, which does not own it", n, w, fpr, j, i)
+							}
+						}
+					}
+				}
+				if owners != 1 {
+					t.Fatalf("N = %d, W = %d: class %016x has %d owning siblings, want 1", n, w, fpr, owners)
+				}
+			}
+			for k, c := range owned {
+				if 4*c*n*w < len(classes) {
+					t.Errorf("N = %d, W = %d: sibling %d of shard %d owns %d of %d classes, under a quarter of its share (split %v)",
+						n, w, k%w, k/w, c, len(classes), owned)
+				}
+			}
+			t.Logf("N = %d, W = %d: %d classes split %v over the siblings", n, w, len(classes), owned)
+		}
+	}
 }

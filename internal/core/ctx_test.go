@@ -113,7 +113,7 @@ func TestSetupErrors(t *testing.T) {
 	if _, err := Run(Config{}, boom2); err == nil || !strings.Contains(err.Error(), "pre-failure stage failed") {
 		t.Fatalf("err = %v", err)
 	}
-	// Parallel mode must drain workers even when Pre fails.
+	// Every sibling must finish even when Pre fails.
 	boom3 := Target{
 		Name: "pre-fail-parallel",
 		Pre: func(c *Ctx) error {

@@ -82,12 +82,23 @@ type Config struct {
 	// identical with and without pruning. For ablation measurements
 	// (xfdetector -no-prune).
 	DisablePruning bool
-	// Workers enables parallelized detection (the future work of §6.2.1):
-	// with Workers > 1, post-failure executions run on that many worker
-	// goroutines, each checking against a copy-on-write fork of the
-	// canonical shadow PM captured at its failure point. The report set is
-	// identical to sequential detection; the Result's PostSeconds then
-	// sums worker time, which overlaps the pre-failure stage.
+	// Workers enables parallelized detection (the future work of §6.2.1).
+	// With Workers = W > 1 in ModeDetect, the run is W sibling runners on
+	// goroutines that act as W class shards nested inside this process's
+	// shard (see ShardCount): each sibling executes Setup and Pre itself and
+	// post-runs exactly its share of the failure points one runner would,
+	// so the report-key set, PostRuns and CrashStateClasses equal
+	// sequential detection's. The siblings share the deduplicated report
+	// set, the OnPostRunComplete serialization, CompletedFailurePoints,
+	// Verdicts and FaultHooks; only sibling 0 builds its pool with Backend
+	// and keeps the trace (KeepTrace), the others use pmem.MemBackend.
+	// Contract: Setup and Pre run once per sibling, concurrently, so on top
+	// of the determinism sharding already requires, a stage may share no
+	// mutable Go state across runs. Memory grows with W: every sibling owns
+	// a pool, its snapshots and a shadow PM. The Result folds the siblings:
+	// buckets, classes, entries and PostSeconds are summed, PreSeconds is
+	// one sibling's. Record passes and the trace-only and original modes
+	// run one runner. 0 and 1 mean sequential; negative is an error.
 	Workers int
 	// MaxPostOps bounds each post-failure execution to this many traced PM
 	// operations (0 = a generous default). A recovery or resumption that
@@ -129,8 +140,8 @@ type Config struct {
 	// post-run's PostFailureFault is always among them, even when an
 	// earlier failure point already reported the same message: a -serve
 	// daemon reads a class verdict off its representative's checkpoint
-	// line. Calls are serialized but may come from worker goroutines in
-	// parallel mode.
+	// line. Calls are serialized but may come from sibling goroutines
+	// under Workers > 1.
 	OnPostRunComplete func(failurePoint int, fingerprint uint64, fresh []Report)
 	// Verdicts, if set, is a cache of clean crash-state class verdicts
 	// from previous campaigns of the identical program (see
@@ -154,7 +165,8 @@ type Config struct {
 	// to it. Points owned by other shards are accounted in
 	// Result.OtherShardFailurePoints — resumed elsewhere, like
 	// CompletedFailurePoints, not degradation. ShardCount 0 or 1 disables
-	// sharding.
+	// sharding. Under Workers > 1 the process's share is split again over
+	// its siblings, class shards nested inside this one.
 	ShardCount int
 	// ShardIndex is this process's shard in [0, ShardCount).
 	ShardIndex int
@@ -228,12 +240,11 @@ func Run(cfg Config, t Target) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation. Cancellation is checked
-// at failure-point boundaries: once ctx is done, no further failure points
-// are injected (each elided injection counts into
-// Result.SkippedFailurePoints) and, when PostRunTimeout is set, the
-// in-flight post-run is abandoned. The pre-failure stage itself runs to
-// completion — it is the target's code — so a cancelled run still returns a
-// sound partial Result, marked Incomplete.
+// at failure-point boundaries: once ctx is done, no further post-runs start.
+// The pre-failure stage itself runs to completion — it is the target's code
+// — and keeps numbering failure points, so each remaining point still lands
+// in exactly one bucket (SkippedFailurePoints for the points this run owns)
+// and a cancelled run returns a sound partial Result, marked Incomplete.
 func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 	if t.Pre == nil {
 		return nil, errors.New("core: target has no pre-failure stage")
@@ -246,6 +257,9 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 	}
 	if cfg.ShardCount > 1 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount) {
 		return nil, fmt.Errorf("core: ShardIndex %d outside [0, %d)", cfg.ShardIndex, cfg.ShardCount)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("core: negative Workers %d", cfg.Workers)
 	}
 	if cfg.PoolSize == 0 {
 		cfg.PoolSize = defaultPoolSize
@@ -272,12 +286,48 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 				cfg.Replay.PoolSize, cfg.PoolSize)
 		}
 	}
-	r := &runner{ctx: ctx, cfg: cfg, target: t, reports: newReportSet()}
-	for _, rep := range cfg.SeedReports {
-		r.reports.add(rep)
+	siblings := 1
+	if cfg.Workers > 1 && cfg.Mode == ModeDetect && cfg.Record == nil {
+		siblings = cfg.Workers
 	}
+	reports := newReportSet()
+	for _, rep := range cfg.SeedReports {
+		reports.add(rep)
+	}
+	var cbMu sync.Mutex
+	results := make([]*Result, siblings)
+	errs := make([]error, siblings)
+	run := func(j int) {
+		r := &runner{ctx: ctx, cfg: cfg, target: t, reports: reports, cbMu: &cbMu, sibling: j, siblings: siblings}
+		results[j], errs[j] = r.run()
+	}
+	var wg sync.WaitGroup
+	for j := 1; j < siblings; j++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(j)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return foldSiblings(results, reports), nil
+}
+
+// run executes one runner: the whole campaign when it is alone, its
+// sibling's share otherwise. Sibling 0 builds the root pool with
+// Config.Backend and keeps the trace; the others use memory-backed pools
+// and keep none. The Result it returns has no Reports: the siblings share
+// one report set, which foldSiblings reads once they all finish.
+func (r *runner) run() (*Result, error) {
+	cfg, t := r.cfg, r.target
 	backend := cfg.Backend
-	if backend == nil {
+	if backend == nil || r.sibling > 0 {
 		backend = pmem.MemBackend{}
 	}
 	pool, err := backend.NewPool(t.Name, int(cfg.PoolSize))
@@ -292,14 +342,12 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 	r.pool.SetFaultHooks(cfg.FaultHooks)
 	r.pool.SetIPCapture(cfg.Mode != ModeOriginal)
 	if cfg.Mode != ModeOriginal {
-		if r.cfg.KeepTrace {
+		if cfg.KeepTrace && r.sibling == 0 {
 			r.keptTrace = trace.New()
 		}
 		r.pool.SetSink((*preSink)(r))
 	}
 	if cfg.Mode == ModeDetect {
-		// Workers check against COW forks of this one canonical shadow;
-		// parallel mode no longer needs the trace retained for replay.
 		r.sh = shadow.NewPM(r.pool.Size())
 		if r.pool.FileBacked() {
 			// File-backed campaigns run long and bulk-initialize large
@@ -312,18 +360,14 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 		}
 		r.pool.SetFenceHook(r.onOrderingPoint)
 		if !cfg.DisablePruning {
-			r.classes = make(map[uint64]*crashClass)
-		}
-		if cfg.Workers > 1 {
-			r.engine = newParallelEngine(r, cfg.Workers)
+			r.classes = make(map[uint64]bool)
 		}
 	}
 	r.roiActive = !t.ExplicitRoI
 
 	// The pool must be closed on every exit path: a file-backed pool holds
 	// an advisory lock and two mappings, and Close flushes the tail of the
-	// durable image. Deferred before closeEngine so it runs after the
-	// workers drain.
+	// durable image.
 	poolClosed := false
 	closePool := func() error {
 		if poolClosed {
@@ -333,17 +377,6 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 		return r.pool.Close()
 	}
 	defer closePool()
-
-	// The engine's workers must be drained on every exit path — including
-	// a failing or panicking Setup/Pre — or their goroutines leak.
-	engineClosed := false
-	closeEngine := func() {
-		if r.engine != nil && !engineClosed {
-			engineClosed = true
-			r.engine.close()
-		}
-	}
-	defer closeEngine()
 
 	start := time.Now()
 	if cfg.Replay != nil {
@@ -366,7 +399,6 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 			r.maybeInjectFinal()
 		}
 	}
-	closeEngine()
 	if cfg.Record != nil {
 		if err := r.finishRecording(); err != nil {
 			return nil, err
@@ -379,26 +411,19 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 		// The campaign's observations are sound, but the durable image's
 		// tail may be lost; degrade honestly instead of failing the run.
 		msg := fmt.Sprintf("pool close: %v", err)
-		r.degradeMu.Lock()
 		r.harnessFaults = append(r.harnessFaults, msg)
 		r.markIncomplete(msg)
-		r.degradeMu.Unlock()
 	}
 
-	preSeconds := (total - r.postTime).Seconds()
-	if preSeconds < 0 {
-		preSeconds = 0 // parallel workers overlap the pre-failure stage
-	}
 	res := &Result{
 		Target:                t.Name,
-		Reports:               r.reports.snapshot(),
 		FailurePoints:         r.failurePoints,
 		PostRuns:              r.postRuns,
 		PreEntries:            r.preEntries,
 		PostEntries:           r.postEntries,
 		BenignReads:           r.benign,
 		PostSeconds:           r.postTime.Seconds(),
-		PreSeconds:            preSeconds,
+		PreSeconds:            (total - r.postTime).Seconds(),
 		Incomplete:            r.incomplete,
 		IncompleteReason:      r.incompleteWhy,
 		SkippedFailurePoints:  r.skippedFPs,
@@ -429,6 +454,43 @@ func RunContext(ctx context.Context, cfg Config, t Target) (*Result, error) {
 	return res, nil
 }
 
+// foldSiblings merges the siblings' Results into the process's. Sibling 0
+// speaks for what every sibling repeats — the failure-point numbering, the
+// pre-failure stage and its time, the kept trace, the root pool's backend
+// and msync statistics — while the per-point buckets add up, because each
+// sibling fills them only for the points it owns (and sibling 0 alone for
+// resumed points and other shards' points). Shadow peaks are summed, an
+// upper bound of the siblings' concurrent peak.
+func foldSiblings(sibs []*Result, reports *reportSet) *Result {
+	res := sibs[0]
+	for _, s := range sibs[1:] {
+		if s.FailurePoints != res.FailurePoints && !res.Incomplete {
+			res.Incomplete = true
+			res.IncompleteReason = fmt.Sprintf("siblings injected %d and %d failure points: the pre-failure stage is not deterministic",
+				res.FailurePoints, s.FailurePoints)
+		}
+		if s.Incomplete && !res.Incomplete {
+			res.Incomplete, res.IncompleteReason = true, s.IncompleteReason
+		}
+		res.PostRuns += s.PostRuns
+		res.CrashStateClasses += s.CrashStateClasses
+		res.PrunedFailurePoints += s.PrunedFailurePoints
+		res.CacheHitFailurePoints += s.CacheHitFailurePoints
+		res.OtherShardFailurePoints += s.OtherShardFailurePoints
+		res.ResumedFailurePoints += s.ResumedFailurePoints
+		res.SkippedFailurePoints += s.SkippedFailurePoints
+		res.AbandonedPostRuns += s.AbandonedPostRuns
+		res.HarnessFaults = append(res.HarnessFaults, s.HarnessFaults...)
+		res.PostEntries += s.PostEntries
+		res.BenignReads += s.BenignReads
+		res.PostSeconds += s.PostSeconds
+		res.ShadowPeakBytes += s.ShadowPeakBytes
+		res.ShadowPages += s.ShadowPages
+	}
+	res.Reports = reports.snapshot()
+	return res
+}
+
 // runStage runs the Setup or Pre stage, converting panics — the target's
 // own or a harness fault unwinding out of the tracing machinery — into
 // harness errors. A hostile stage must degrade into an error return, never
@@ -446,7 +508,12 @@ func runStage(name string, fn func(*Ctx) error, ctx *Ctx) (err error) {
 	return nil
 }
 
-// runner holds the mutable state of one detection run.
+// runner holds the mutable state of one detection run, or of one sibling
+// of a Workers > 1 run. The state belongs to the goroutine running the
+// pre-failure stage — concurrent mutator threads reach it only under
+// sinkMu — and the post-failure stage runs inline on that goroutine (or on
+// a timed goroutine it waits for under PostRunTimeout), reaching the
+// runner only through the shared report set.
 type runner struct {
 	ctx     context.Context
 	cfg     Config
@@ -454,6 +521,12 @@ type runner struct {
 	pool    *pmem.Pool
 	sh      *shadow.PM
 	reports *reportSet
+	// cbMu serializes OnPostRunComplete callbacks across siblings.
+	cbMu *sync.Mutex
+	// sibling is this runner's index among the process's siblings
+	// (Config.Workers; 1 when sequential), which split the failure points
+	// the process owns (prune.go).
+	sibling, siblings int
 
 	keptTrace   *trace.Trace
 	preEntries  int
@@ -475,14 +548,10 @@ type runner struct {
 	// short artifact.
 	recordErr error
 
-	// engine is non-nil when parallel detection is enabled.
-	engine *parallelEngine
-
-	// pruneMu guards the crash-state pruning state (prune.go): the
-	// pre-failure thread files failure points into classes while parallel
-	// workers resolve class verdicts.
-	pruneMu       sync.Mutex
-	classes       map[uint64]*crashClass
+	// Crash-state pruning (prune.go): classes maps the fingerprint of
+	// every class whose representative resolved it to its verdict, true
+	// when clean.
+	classes       map[uint64]bool
 	classesTested int
 	prunedFPs     int
 	cacheHitFPs   int
@@ -496,9 +565,7 @@ type runner struct {
 
 	postTime time.Duration
 
-	// degradeMu guards the degradation accounting, which parallel workers
-	// and the pre-failure thread update concurrently.
-	degradeMu     sync.Mutex
+	// Degradation accounting.
 	incomplete    bool
 	incompleteWhy string
 	skippedFPs    int
@@ -506,13 +573,9 @@ type runner struct {
 	resumedFPs    int
 	otherShardFPs int
 	harnessFaults []string
-
-	// cbMu serializes OnPostRunComplete callbacks across workers.
-	cbMu sync.Mutex
 }
 
-// markIncomplete records the first cause of degradation; callers hold
-// degradeMu.
+// markIncomplete records the first cause of degradation.
 func (r *runner) markIncomplete(why string) {
 	if !r.incomplete {
 		r.incomplete = true
@@ -521,10 +584,8 @@ func (r *runner) markIncomplete(why string) {
 }
 
 // noteSkipped accounts one failure point whose post-run was not (fully)
-// executed: cancellation, or a quarantine after a failed retry.
+// executed because the run was cancelled.
 func (r *runner) noteSkipped(why string) {
-	r.degradeMu.Lock()
-	defer r.degradeMu.Unlock()
 	r.skippedFPs++
 	r.markIncomplete(why)
 }
@@ -533,8 +594,6 @@ func (r *runner) noteSkipped(why string) {
 // survived its retry.
 func (r *runner) noteQuarantined(fpID int, err error) {
 	msg := fmt.Sprintf("failure point %d quarantined: %v", fpID, err)
-	r.degradeMu.Lock()
-	defer r.degradeMu.Unlock()
 	r.skippedFPs++
 	r.harnessFaults = append(r.harnessFaults, msg)
 	r.markIncomplete(msg)
@@ -643,18 +702,10 @@ func (r *runner) injectFailureSync() {
 }
 
 // injectFailure suspends the pre-failure execution, copies the PM image and
-// spawns the post-failure stage on the copy (Fig. 8 steps 2–6) — inline in
-// sequential mode, on a worker in parallel mode. Callers hold sinkMu, so
-// concurrent mutator threads are suspended for the duration, like the
-// paper's frontend suspending the program at the failure point.
+// runs the post-failure stage on the copy (Fig. 8 steps 2–6). Callers hold
+// sinkMu, so concurrent mutator threads are suspended for the duration,
+// like the paper's frontend suspending the program at the failure point.
 func (r *runner) injectFailure() {
-	if r.ctx.Err() != nil {
-		// Cancellation boundary: the failure point is not injected; count
-		// it so the partial result is honest about the campaign's coverage.
-		r.opsSinceFP = 0
-		r.noteSkipped(fmt.Sprintf("run cancelled: %v", context.Cause(r.ctx)))
-		return
-	}
 	fpID := r.failurePoints
 	r.failurePoints++
 	r.opsSinceFP = 0
@@ -666,9 +717,10 @@ func (r *runner) injectFailure() {
 }
 
 // dispatchFP runs everything that happens at an injected failure point
-// after its marker is recorded: checkpoint resume, crash-state pruning
-// with its class-ownership test, and the post-run itself. It is shared
-// verbatim by live injection (injectFailure) and recorded replay
+// after its marker is recorded: checkpoint resume, the ownership test
+// (under pruning by the fingerprint's class), the cancellation boundary,
+// crash-state pruning, and the post-run itself. It is shared verbatim by
+// live injection (injectFailure) and recorded replay
 // (replayFailurePoint), so a replayed campaign makes exactly the
 // decisions a live one would. Callers hold sinkMu.
 func (r *runner) dispatchFP(fpID int) {
@@ -678,53 +730,38 @@ func (r *runner) dispatchFP(fpID int) {
 	if r.cfg.CompletedFailurePoints[fpID] {
 		// Crash-safe resume: a previous campaign already executed this
 		// post-run; its reports arrived via Config.SeedReports.
-		r.degradeMu.Lock()
-		r.resumedFPs++
-		r.degradeMu.Unlock()
+		r.noteResumed()
 		return
 	}
-	var cls *crashClass
 	var fpr uint64
+	var own owner
 	if r.pruning() {
-		// Under pruning a shard owns whole crash-state classes, so the
-		// ownership test needs the fingerprint (enterClass).
+		fpr = r.sh.CrashFingerprint()
+		own = r.classOwner(fpr)
+	} else {
+		own = r.pointOwner(fpID)
+	}
+	if own != ownedHere {
+		r.noteDelegated(own)
+		return
+	}
+	if r.ctx.Err() != nil {
+		// Cancellation boundary: the point keeps its number and bucket,
+		// so the partial result is honest about the campaign's coverage.
+		r.noteSkipped(fmt.Sprintf("run cancelled: %v", context.Cause(r.ctx)))
+		return
+	}
+	rep := false
+	if r.pruning() {
 		var handled bool
-		cls, fpr, handled = r.enterClass(fpID)
+		rep, fpr, handled = r.enterClass(fpID, fpr)
 		if handled {
 			return
 		}
-	} else if !r.ownsFailurePoint(fpID) {
-		r.noteOtherShard()
-		return
-	}
-	if r.engine != nil {
-		snap, err := r.snapshotWithRetry()
-		if err != nil {
-			r.noteQuarantined(fpID, err)
-			// The representative never ran; poison the class so its parked
-			// members execute instead of waiting forever.
-			r.resolveClass(cls, false, nil)
-			return
-		}
-		r.notePostRun()
-		// Fork under sinkMu: the pre-failure execution is suspended, so
-		// the fork captures exactly the failure point's shadow state.
-		r.engine.submit(fpWork{id: fpID, fpr: fpr, fork: r.sh.Fork(), snap: snap, cls: cls})
-		return
 	}
 	start := time.Now()
-	r.runPost(fpID, fpr, cls)
+	r.runPost(fpID, fpr, rep)
 	r.postTime += time.Since(start)
-}
-
-// snapshotWithRetry copies the PM image, retrying a harness-faulted copy
-// once before giving up.
-func (r *runner) snapshotWithRetry() (*pmem.Snapshot, error) {
-	snap, err := r.pool.SnapshotErr()
-	if err == nil {
-		return snap, nil
-	}
-	return r.pool.SnapshotErr()
 }
 
 // postOutcome is the result of one post-run attempt.
@@ -799,69 +836,48 @@ func (g *postGate) enter() {
 	}
 }
 
-func (r *runner) runPost(fpID int, fpr uint64, cls *crashClass) {
-	r.notePostRun()
-	out, ok := r.runAttempts(fpID, func() postOutcome {
-		// The image copy contains ALL updates, including non-persisted
-		// ones (footnote 3); the shadow PM is what distinguishes them.
-		// Sequential mode snapshots per attempt so the fault hook sees one
-		// consultation per attempt; the retry's snapshot is cheap — the
-		// suspended pre-failure stage dirtied nothing in between.
-		snap, err := r.pool.SnapshotErr()
-		if err != nil {
-			return postOutcome{harness: err}
-		}
-		return r.attemptPost(fpID, snap, r.sh)
-	})
-	if !ok {
-		r.unspawnPostRun()
-		r.resolveClass(cls, false, nil)
-		return
-	}
-	r.benign += out.benign
-	r.postEntries += out.ents
-	r.finishPost(fpID, fpr, out)
-	r.resolveClass(cls, out.clean(), out.fresh)
-}
-
-// runAttempts applies the retry-once-then-quarantine policy shared by the
-// sequential and parallel paths: a harness-faulted attempt is void and
-// retried once; a second fault quarantines the failure point (ok=false).
-// Reports a void attempt added before faulting are kept — they are real
-// observations — but its entry/benign statistics are discarded.
-func (r *runner) runAttempts(fpID int, attempt func() postOutcome) (postOutcome, bool) {
-	out := attempt()
+// runPost executes fpID's post-failure stage with the
+// retry-once-then-quarantine policy: a harness-faulted attempt is void and
+// retried once, and a second fault quarantines the failure point. Reports
+// a void attempt added before faulting are kept — they are real
+// observations — but its entry/benign statistics are discarded. rep marks
+// the representative of fpr's class, which the outcome then resolves.
+func (r *runner) runPost(fpID int, fpr uint64, rep bool) {
+	out := r.attemptPost(fpID)
 	if out.harness != nil {
 		prevFresh := out.fresh
-		out = attempt() // retry once
-		if out.harness != nil {
-			r.noteQuarantined(fpID, out.harness)
-			return postOutcome{}, false
-		}
+		out = r.attemptPost(fpID) // retry once
 		out.fresh = append(prevFresh, out.fresh...)
 	}
-	return out, true
+	if out.harness != nil {
+		r.noteQuarantined(fpID, out.harness)
+	} else {
+		r.finishPost(fpID, fpr, out)
+	}
+	if rep {
+		r.resolveClass(fpr, out.clean(), out.fresh)
+	}
 }
 
-// newPostPool spawns the post-failure pool for one attempt: a copy-on-write
-// view over the shared snapshot. A retried attempt calls it again, dropping
-// the faulted attempt's COW overlay.
-func (r *runner) newPostPool(snap *pmem.Snapshot) *pmem.Pool {
+// attemptPost executes one post-failure run for fpID on a copy-on-write
+// view of a fresh image snapshot, checking it against the shadow PM. The
+// image copy contains ALL updates, including non-persisted ones (footnote
+// 3); the shadow PM is what distinguishes them. Each attempt snapshots, so
+// the fault hook sees one consultation per attempt; the retry's snapshot
+// is cheap — the suspended pre-failure stage dirtied nothing in between —
+// and its new view drops the faulted attempt's overlay. The run is inline
+// when no deadline is configured, on its own goroutine under
+// PostRunTimeout otherwise.
+func (r *runner) attemptPost(fpID int) postOutcome {
+	snap, err := r.pool.SnapshotErr()
+	if err != nil {
+		return postOutcome{harness: err}
+	}
 	post := pmem.FromSnapshot(r.pool.Name()+"@post", snap)
 	post.SetFaultHooks(r.cfg.FaultHooks)
 	post.SetStage(trace.PostFailure)
-	return post
-}
-
-// attemptPost executes one post-failure run for fpID on a view of snap,
-// checking it against sh — the run's canonical shadow in sequential mode,
-// the failure point's COW fork in parallel mode. It runs inline when no
-// deadline is configured, on its own goroutine under PostRunTimeout
-// otherwise.
-func (r *runner) attemptPost(fpID int, snap *pmem.Snapshot, sh *shadow.PM) postOutcome {
-	post := r.newPostPool(snap)
-	checker := sh.BeginPostCheck()
-	sink := &postSink{r: r, checker: checker, sh: sh, fpID: fpID}
+	checker := r.sh.BeginPostCheck()
+	sink := &postSink{r: r, checker: checker, fpID: fpID}
 	ctx := &Ctx{r: r, pool: post, stage: trace.PostFailure, failurePoint: fpID}
 	if r.target.ExplicitRoI {
 		// Outside the post-failure RoI nothing is checked; RoIBegin
@@ -882,6 +898,20 @@ func (r *runner) attemptPost(fpID int, snap *pmem.Snapshot, sh *shadow.PM) postO
 	return awaitPost(r, gate, done, sink, func(err error) postOutcome {
 		return classifyPost(err, checker.Benign, sink.ents, sink.fresh)
 	})
+}
+
+// safePostCall runs the post-failure stage, converting panics into
+// post-failure faults: a crashing recovery (the paper's segmentation-fault
+// scenario in Fig. 1, or its Bug 4 failed pool open) is itself an
+// observable cross-failure bug, as is one that spins past its operation
+// budget.
+func safePostCall(post func(*Ctx) error, ctx *Ctx) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = classifyPostPanic(p)
+		}
+	}()
+	return post(ctx)
 }
 
 // awaitPost waits for a timed post-run: completion, deadline expiry, or
@@ -908,9 +938,9 @@ func awaitPost(r *runner, gate *postGate, done <-chan error, sink *postSink, cla
 	}
 }
 
-// finishPost folds a completed (non-quarantined) post-run outcome into the
-// shared result state: fault reports, abandonment accounting, and the
-// checkpoint callback. Cancelled runs are counted as skipped and not
+// finishPost folds a non-quarantined post-run outcome into the result
+// state: post-run statistics, fault reports, abandonment accounting, and
+// the checkpoint callback. Cancelled runs are counted as skipped and not
 // checkpointed, so a resumed campaign re-executes them; deadline-abandoned
 // runs are deterministic (the uninterrupted campaign times out the same
 // way) and are reported and checkpointed. The fault rides on the point's
@@ -918,14 +948,14 @@ func awaitPost(r *runner, gate *postGate, done <-chan error, sink *postSink, cla
 // line alone tells a dirty post-run from a clean one.
 func (r *runner) finishPost(fpID int, fpr uint64, out postOutcome) {
 	if out.cancelled {
-		r.unspawnPostRun()
 		r.noteSkipped("run cancelled during a post-failure execution")
 		return
 	}
+	r.postRuns++
+	r.benign += out.benign
+	r.postEntries += out.ents
 	if out.abandoned {
-		r.degradeMu.Lock()
 		r.abandonedRuns++
-		r.degradeMu.Unlock()
 		out.err = fmt.Errorf("post-failure stage abandoned after its %v deadline (runaway execution not touching PM)", r.cfg.PostRunTimeout)
 	}
 	if out.err != nil {
@@ -956,15 +986,13 @@ func classifyPostPanic(p any) error {
 }
 
 // postSink receives the post-failure trace of one failure point and checks
-// it against the shadow PM. The same sink serves the sequential path and
-// the parallel workers; sh is whichever shadow the attempt checks against.
-// It counts entries only locally (ents): the attempt's caller folds them
-// into the shared statistics iff the attempt completes, so a void
-// (harness-faulted) attempt leaks nothing into Result.PostEntries.
+// it against the runner's shadow PM. It counts entries only locally
+// (ents): the runner folds them into its statistics iff the attempt
+// completes, so a void (harness-faulted) attempt leaks nothing into
+// Result.PostEntries.
 type postSink struct {
 	r       *runner
 	checker *shadow.PostChecker
-	sh      *shadow.PM
 	fpID    int
 	ents    int
 	// gate is non-nil on timed post-runs; fresh collects the reports this
@@ -1014,6 +1042,6 @@ func (s *postSink) Record(e trace.Entry) {
 	case trace.RegCommitVar, trace.RegCommitRange:
 		// Recovery code may (re-)register commit variables, e.g. when
 		// reopening a pool; registrations are idempotent.
-		s.sh.Apply(e)
+		s.r.sh.Apply(e)
 	}
 }

@@ -26,10 +26,11 @@ func checkBuckets(t *testing.T, res *Result) {
 // TestFaultHooksPropagation pins the propagation contract documented on
 // pmem.SetFaultHooks: fault hooks armed on the campaign's root pool reach
 // every post-failure pool the frontend builds — the copy-on-write snapshot
-// views of sequential runs and those parallel workers check against shadow
-// forks. A fault class arming only post-failure stages must therefore
-// quarantine every failure point, in every engine mode, with exact
-// accounting and zero false bug reports.
+// views of a sequential run and of every sibling of a Workers > 1 run
+// (the subtest keeps its name from the fork-based engine). A fault class
+// arming only post-failure stages must therefore quarantine every failure
+// point, in every engine mode, with exact accounting and zero false bug
+// reports.
 func TestFaultHooksPropagation(t *testing.T) {
 	for _, tc := range []struct {
 		name string

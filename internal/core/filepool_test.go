@@ -154,7 +154,11 @@ func TestFileBackedExtendFaultFailsRun(t *testing.T) {
 // TestFileBackedDiskFaultClasses: each injected disk fault class — disk-full
 // ENOSPC, short msync, torn mmap page — survives its retry, quarantines
 // exactly the affected failure point, never fabricates a bug report, and the
-// campaign continues to the identical report set. Sequential and parallel.
+// campaign continues to the identical report set. Sequential and parallel:
+// under workers=4 only sibling 0's pool is file-backed and it snapshots
+// only for its own post-runs, so the persist failure its first fence
+// stashes may surface at pool close instead of at a failure point — the
+// run is still Incomplete and names the fault, with nothing quarantined.
 func TestFileBackedDiskFaultClasses(t *testing.T) {
 	clean, err := Run(Config{DisablePerfBugs: true}, spinMultiFPTarget("disk-fault-clean"))
 	if err != nil {
@@ -183,7 +187,10 @@ func TestFileBackedDiskFaultClasses(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !res.Incomplete || res.SkippedFailurePoints == 0 {
+				if !res.Incomplete {
+					t.Fatalf("disk fault did not degrade the run:\n%s", res)
+				}
+				if workers == 1 && res.SkippedFailurePoints == 0 {
 					t.Fatalf("disk fault did not quarantine any failure point:\n%s", res)
 				}
 				found := false

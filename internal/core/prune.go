@@ -20,64 +20,25 @@ package core
 // reports, and the member's checkpoint line still records it as covered,
 // keeping -merge's coverage proof and crash-safe resume exact.
 //
-// Scheduling is deterministic across sequential and parallel modes: the
-// fingerprint sequence is computed on the pre-failure thread in injection
-// order, the first member of each class becomes its representative, and in
-// parallel mode members arriving while the representative is still in
-// flight park on the class with their fork and snapshot captured at their
-// own failure point. The resolving worker then either completes them
-// (clean) or runs them inline (dirty) — never re-submitting to the worker
-// queues, which keeps back-pressure deadlock-free. PostRuns, PostEntries
-// and BenignReads therefore match sequential detection exactly.
+// The fingerprint sequence is computed on the pre-failure thread in
+// injection order and the representative's post-run finishes before the
+// next failure point is injected, so the first member of each class is
+// its representative and every later member finds the class resolved.
 //
 // Sharded campaigns partition by class, not by failure point: shard i of N
 // owns the classes whose fingerprint F has classShard(F, N) == i, so each
 // shard fingerprints every failure point it has not resumed, applies the
 // rules above to the classes it owns, and delegates the rest
 // (OtherShardFailurePoints). No shard needs another shard's verdict, and a
-// fleet post-runs exactly the failure points one process does. Resumed
-// failure points are never fingerprinted: a resumed shard's member whose
-// representative a checkpoint already covered becomes the class's new
-// representative. Under DisablePruning nothing is fingerprinted and
-// ownership stays fp % N.
+// fleet post-runs exactly the failure points one process does. The
+// siblings of a Workers > 1 run are class shards nested inside the
+// process's shard (classOwner). Resumed failure points are never
+// fingerprinted: a resumed shard's member whose representative a
+// checkpoint already covered becomes the class's new representative.
+// Under DisablePruning nothing is fingerprinted and ownership goes by
+// failure point (pointOwner).
 
-import (
-	"math/bits"
-
-	"github.com/pmemgo/xfdetector/internal/pmem"
-	"github.com/pmemgo/xfdetector/internal/shadow"
-)
-
-// classState is the lifecycle of one crash-state class.
-type classState uint8
-
-const (
-	// classUntested: no member seen yet (zero value of a fresh class).
-	classUntested classState = iota
-	// classTesting: the representative's post-run is in flight.
-	classTesting
-	// classClean: the representative completed cleanly; members are pruned.
-	classClean
-	// classDirty: the representative faulted, was abandoned, cancelled or
-	// quarantined; every member runs its own post-failure execution.
-	classDirty
-)
-
-// parkedFP is a failure point awaiting its class representative's verdict,
-// with the shadow fork and image snapshot captured at its own failure
-// point (so a dirty verdict can still run it exactly).
-type parkedFP struct {
-	id   int
-	fork *shadow.PM
-	snap *pmem.Snapshot
-}
-
-// crashClass is one crash-state fingerprint class.
-type crashClass struct {
-	state  classState
-	parked []parkedFP
-	fpr    uint64
-}
+import "math/bits"
 
 // classShard is the shard that owns crash-state class fpr in an n-shard
 // campaign: the high word of fpr·n, so the fingerprint's high bits decide.
@@ -89,18 +50,72 @@ func classShard(fpr uint64, n int) int {
 	return int(hi)
 }
 
-// ownsClass reports whether this run owns crash-state class fpr.
-func (r *runner) ownsClass(fpr uint64) bool {
-	return r.cfg.ShardCount <= 1 || classShard(fpr, r.cfg.ShardCount) == r.cfg.ShardIndex
+// owner says which runner post-runs a failure point.
+type owner uint8
+
+const (
+	ownedHere      owner = iota // this runner
+	ownedBySibling              // another sibling of this process
+	ownedElsewhere              // another process's shard
+)
+
+// processShard is this process's shard layout, (1, 0) when not sharded.
+func (r *runner) processShard() (n, i int) {
+	if r.cfg.ShardCount > 1 {
+		return r.cfg.ShardCount, r.cfg.ShardIndex
+	}
+	return 1, 0
 }
 
-// noteOtherShard accounts a failure point whose post-run belongs to
-// another shard, which replays the identical pre-failure execution and
-// arrives at the same failure point. Delegated, not degraded.
-func (r *runner) noteOtherShard() {
-	r.degradeMu.Lock()
-	r.otherShardFPs++
-	r.degradeMu.Unlock()
+// classOwner places crash-state class fpr. A process shard (N, i) with W
+// siblings is N·W class shards, and its sibling j is shard i·W + j. The
+// split nests exactly: write fpr·N = i·2⁶⁴ + r with r < 2⁶⁴, then the high
+// word of fpr·N·W is i·W + ⌊r·W/2⁶⁴⌋, which lies in [i·W, i·W + W)
+// precisely when the process owns fpr. Splitting the siblings by
+// classShard(fpr, W) instead would stay a partition but starve them: at
+// N = W = 2 process 0 owns the fingerprints below 2⁶³ and its sibling 1
+// those above.
+func (r *runner) classOwner(fpr uint64) owner {
+	n, i := r.processShard()
+	k := classShard(fpr, n*r.siblings)
+	return r.place(k/r.siblings == i, k%r.siblings)
+}
+
+// pointOwner places failure point fp under DisablePruning: the process
+// owns fp % N == i, and its sibling j the points with (fp / N) % W == j.
+func (r *runner) pointOwner(fp int) owner {
+	n, i := r.processShard()
+	return r.place(fp%n == i, (fp/n)%r.siblings)
+}
+
+func (r *runner) place(process bool, sibling int) owner {
+	switch {
+	case !process:
+		return ownedElsewhere
+	case sibling != r.sibling:
+		return ownedBySibling
+	}
+	return ownedHere
+}
+
+// noteDelegated accounts a failure point this runner does not post-run.
+// Another process's point is delegated, not degraded: that shard replays
+// the identical pre-failure execution and arrives at the same point. It
+// lands in OtherShardFailurePoints once, on sibling 0; a sibling's own
+// point is its owner's to account.
+func (r *runner) noteDelegated(o owner) {
+	if o == ownedElsewhere && r.sibling == 0 {
+		r.otherShardFPs++
+	}
+}
+
+// noteResumed accounts a failure point a checkpoint already covered, once
+// per process, on sibling 0: resumed points are never fingerprinted, so
+// no sibling can tell whose they were.
+func (r *runner) noteResumed() {
+	if r.sibling == 0 {
+		r.resumedFPs++
+	}
 }
 
 // pruning reports whether this run fingerprints and prunes failure points.
@@ -108,179 +123,66 @@ func (r *runner) pruning() bool {
 	return r.cfg.Mode == ModeDetect && !r.cfg.DisablePruning && r.sh != nil
 }
 
-// notePostRun accounts one spawned post-failure execution; parked members
-// of dirty classes run on worker goroutines, so the counter is locked.
-func (r *runner) notePostRun() {
-	r.degradeMu.Lock()
-	r.postRuns++
-	r.degradeMu.Unlock()
-}
-
-// unspawnPostRun retracts a spawned post-run that ended void — quarantined
-// after its retry, or cancelled — so each failure point lands in exactly
-// one Result bucket and PostRuns + PrunedFailurePoints +
-// OtherShardFailurePoints + ResumedFailurePoints + SkippedFailurePoints ==
-// FailurePoints even for degraded campaigns.
-func (r *runner) unspawnPostRun() {
-	r.degradeMu.Lock()
-	r.postRuns--
-	r.degradeMu.Unlock()
-}
-
 // clean reports whether a post-run outcome allows pruning its class
-// members: anything other than an uneventful completion poisons the class.
+// members: anything other than an uneventful completion — a quarantine
+// included — poisons the class.
 func (o postOutcome) clean() bool {
-	return !o.cancelled && !o.abandoned && o.err == nil
+	return o.harness == nil && !o.cancelled && !o.abandoned && o.err == nil
 }
 
-// enterClass fingerprints the current shadow state and files fpID into its
-// class. It returns the class when fpID is its representative (the caller
-// runs the post-failure execution and resolves the class afterwards), or
-// handled=true when the failure point was consumed here: delegated to the
-// shard owning its class, pruned against a clean class, answered from the
-// verdict cache, parked behind an in-flight representative, or
-// quarantined on a failing snapshot. A nil class with handled=false means
-// the failure point belongs to a dirty class and runs like an unpruned
-// one, with a zero fingerprint: its outcome is its own and must not speak
-// for the class. (A -serve daemon caches a class from the first line
-// carrying its fingerprint; after a quarantined representative, which
-// writes no line, a member's clean line would otherwise cache the class
-// with reports that miss what the void attempts observed.) Callers hold
-// sinkMu.
-func (r *runner) enterClass(fpID int) (cls *crashClass, fpr uint64, handled bool) {
-	fp := r.sh.CrashFingerprint()
-	if !r.ownsClass(fp) {
-		r.noteOtherShard()
-		return nil, fp, true
-	}
-	r.pruneMu.Lock()
-	c := r.classes[fp]
-	if c == nil {
-		c = &crashClass{fpr: fp}
-		r.classes[fp] = c
-	}
-	switch c.state {
-	case classClean:
-		r.prunedFPs++
-		r.pruneMu.Unlock()
+// enterClass files fpID, a failure point this runner owns with crash-state
+// fingerprint fpr, into its class. It returns rep=true when fpID is the
+// class's first member — the caller post-runs it and resolves the class
+// afterwards — or handled=true when the point was consumed here: pruned
+// against a clean class, or answered from the verdict cache. Otherwise the
+// point belongs to a dirty class and runs like an unpruned one, with a
+// zero fingerprint: its outcome is its own and must not speak for the
+// class. (A -serve daemon caches a class from the first line carrying its
+// fingerprint; after a quarantined representative, which writes no line, a
+// member's clean line would otherwise cache the class with reports that
+// miss what the void attempts observed.) Callers hold sinkMu.
+func (r *runner) enterClass(fpID int, fpr uint64) (rep bool, fp uint64, handled bool) {
+	if clean, resolved := r.classes[fpr]; resolved {
+		if !clean {
+			// The representative faulted, was abandoned, cancelled or
+			// quarantined: every member runs its own post-run.
+			return false, 0, false
+		}
 		// The representative already completed cleanly (and checkpointed
 		// first): attribute its verdict, record coverage, run nothing.
-		r.completeFP(fpID, fp, nil)
-		return nil, fp, true
-	case classTesting:
-		// Parallel mode: the representative is still in flight. Capture
-		// this failure point's own fork and snapshot now — the pre-failure
-		// stage is about to move on — and park it on the class.
-		snap, err := r.snapshotWithRetry()
-		if err != nil {
-			r.pruneMu.Unlock()
-			r.noteQuarantined(fpID, err)
-			return nil, fp, true
-		}
-		c.parked = append(c.parked, parkedFP{id: fpID, fork: r.sh.Fork(), snap: snap})
-		r.pruneMu.Unlock()
-		return nil, fp, true
-	case classUntested:
-		// First member: reserve the class, then consult the verdict cache
-		// (if any) without holding pruneMu. enterClass is serialized under
-		// sinkMu — parallel workers only resolve classes, never file new
-		// members — so nothing can park on the class meanwhile.
-		c.state = classTesting
-		r.pruneMu.Unlock()
-		if r.cfg.Verdicts != nil {
-			if cached, ok := r.cfg.Verdicts.Lookup(fp); ok {
-				// A previous campaign resolved the class cleanly; attribute
-				// the verdict and re-seed its reports so this campaign's
-				// merged report set matches an uncached run byte for byte.
-				r.pruneMu.Lock()
-				c.state = classClean
-				r.cacheHitFPs++
-				r.pruneMu.Unlock()
-				var fresh []Report
-				for _, rep := range cached {
-					if r.reports.add(rep) {
-						fresh = append(fresh, rep)
-					}
+		r.prunedFPs++
+		r.completeFP(fpID, fpr, nil)
+		return false, fpr, true
+	}
+	if r.cfg.Verdicts != nil {
+		if cached, ok := r.cfg.Verdicts.Lookup(fpr); ok {
+			// A previous campaign resolved the class cleanly; attribute the
+			// verdict and re-seed its reports so this campaign's merged
+			// report set matches an uncached run byte for byte.
+			r.classes[fpr] = true
+			r.cacheHitFPs++
+			var fresh []Report
+			for _, rep := range cached {
+				if r.reports.add(rep) {
+					fresh = append(fresh, rep)
 				}
-				r.completeFP(fpID, fp, fresh)
-				return nil, fp, true
 			}
+			r.completeFP(fpID, fpr, fresh)
+			return false, fpr, true
 		}
-		r.pruneMu.Lock()
-		r.classesTested++
-		r.pruneMu.Unlock()
-		return c, fp, false
-	default: // classDirty
-		r.pruneMu.Unlock()
-		return nil, 0, false
 	}
+	r.classesTested++
+	return true, fpr, false
 }
 
-// resolveClass records the representative's verdict and disposes of the
-// members parked behind it: a clean verdict prunes them (checkpointing
-// each as covered), a dirty one runs each inline on the resolving
-// goroutine. The transition is sticky — a class is resolved exactly once.
-// When this process owns the class in the run's VerdictSource, the verdict
-// is published with the representative's fresh reports (so a clean class's
-// value-bearing reports can be re-seeded by later campaigns) — after the
-// representative checkpointed, preserving PR 6's attribute-only-after-
-// coverage ordering. cls is nil for non-representative post-runs.
-func (r *runner) resolveClass(cls *crashClass, clean bool, fresh []Report) {
-	if cls == nil {
-		return
-	}
-	r.pruneMu.Lock()
-	if cls.state != classTesting {
-		r.pruneMu.Unlock()
-		return
-	}
-	if clean {
-		cls.state = classClean
-		r.prunedFPs += len(cls.parked)
-	} else {
-		cls.state = classDirty
-	}
-	parked := cls.parked
-	cls.parked = nil
-	r.pruneMu.Unlock()
+// resolveClass records a representative's verdict on class fpr. The
+// verdict is final: a clean class prunes its later members, a dirty one
+// runs them. A clean representative's reports are stored in the run's
+// VerdictSource, after the representative checkpointed, preserving the
+// attribute-only-after-coverage ordering.
+func (r *runner) resolveClass(fpr uint64, clean bool, fresh []Report) {
+	r.classes[fpr] = clean
 	if clean && r.cfg.Verdicts != nil {
-		r.cfg.Verdicts.Store(cls.fpr, fresh)
+		r.cfg.Verdicts.Store(fpr, fresh)
 	}
-	for _, p := range parked {
-		if clean {
-			r.completeFP(p.id, cls.fpr, nil)
-			p.fork.Release()
-			continue
-		}
-		r.runParked(p)
-	}
-}
-
-// runParked executes a parked member of a poisoned class against the fork
-// and snapshot captured at its failure point, with the same
-// retry-once-then-quarantine semantics as any other post-run, and — like
-// every member of a dirty class — checkpoints it without a fingerprint
-// (see enterClass). It runs on the goroutine that resolved the class (a
-// parallel worker), inside that worker's timed window, so PostSeconds
-// accounting is unchanged.
-func (r *runner) runParked(p parkedFP) {
-	defer p.fork.Release()
-	r.notePostRun()
-	out, ok := r.runAttempts(p.id, func() postOutcome {
-		return r.attemptPost(p.id, p.snap, p.fork)
-	})
-	if !ok {
-		r.unspawnPostRun()
-		return
-	}
-	if r.engine != nil {
-		r.engine.mu.Lock()
-		r.engine.benign += out.benign
-		r.engine.postEnts += out.ents
-		r.engine.mu.Unlock()
-	} else {
-		r.benign += out.benign
-		r.postEntries += out.ents
-	}
-	r.finishPost(p.id, 0, out)
 }

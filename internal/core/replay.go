@@ -9,11 +9,12 @@ package core
 // recordLocked path the tracing sink uses, recorded failure-point markers
 // run the same dispatchFP body live injection runs (resume, pruning, class
 // ownership, verdict reuse), and cancellation behaves like a live run's —
-// remaining markers are skipped and counted, the rest of the trace still
-// applies. What replay drops is everything that made the pre-failure pass
-// expensive: target code, source-location capture, pool instrumentation,
-// and — when an engine checkpoint lies below the shard's first owned,
-// uncovered failure point — the whole trace prefix up to the checkpoint.
+// remaining markers are still numbered, owned ones counted as skipped, and
+// the rest of the trace still applies. What replay drops is everything
+// that made the pre-failure pass expensive: target code, source-location
+// capture, pool instrumentation, and — when an engine checkpoint lies
+// below the runner's first owned, uncovered failure point — the whole
+// trace prefix up to the checkpoint.
 
 import (
 	"context"
@@ -43,17 +44,17 @@ func (r *runner) recordFailurePoint(fpID int) {
 }
 
 // finishRecording finalizes the artifact after a clean recording pass. A
-// degraded pass (cancellation, harness faults) fails instead: a short
-// artifact would silently shrink every future campaign.
+// cancelled or degraded pass fails instead: a short artifact would
+// silently shrink every future campaign.
 func (r *runner) finishRecording() error {
 	if r.recordErr != nil {
 		return fmt.Errorf("core: recording: %w", r.recordErr)
 	}
-	r.degradeMu.Lock()
-	incomplete, why := r.incomplete, r.incompleteWhy
-	r.degradeMu.Unlock()
-	if incomplete {
-		return fmt.Errorf("core: recording degraded (%s); refusing to finalize a partial artifact", why)
+	if r.ctx.Err() != nil {
+		return fmt.Errorf("core: recording cancelled (%v); refusing to finalize it", context.Cause(r.ctx))
+	}
+	if r.incomplete {
+		return fmt.Errorf("core: recording degraded (%s); refusing to finalize a partial artifact", r.incompleteWhy)
 	}
 	var pre []record.Report
 	for _, rep := range r.reports.snapshot() {
@@ -74,21 +75,14 @@ func (r *runner) finishRecording() error {
 	return nil
 }
 
-// ownsFailurePoint reports whether this shard owns failure point fp under
-// the failure-point partition (DisablePruning).
-func (r *runner) ownsFailurePoint(fp int) bool {
-	return r.cfg.ShardCount <= 1 || fp%r.cfg.ShardCount == r.cfg.ShardIndex
-}
-
-// ownsRecorded reports whether this shard owns failure point fp of the
-// recorded artifact: under pruning by the class of its recorded
-// fingerprint, which is what dispatchFP would fingerprint there, and by
-// failure point otherwise.
-func (r *runner) ownsRecorded(a *record.Artifact, fp int) bool {
+// recordedOwner places failure point fp of the recorded artifact: under
+// pruning by the class of its recorded fingerprint, which is what
+// dispatchFP would fingerprint there, and by failure point otherwise.
+func (r *runner) recordedOwner(a *record.Artifact, fp int) owner {
 	if r.pruning() {
-		return r.ownsClass(a.FPs[fp].Fingerprint)
+		return r.classOwner(a.FPs[fp].Fingerprint)
 	}
-	return r.ownsFailurePoint(fp)
+	return r.pointOwner(fp)
 }
 
 // replayRecorded drives the whole frontend from the recorded artifact.
@@ -134,11 +128,13 @@ func (r *runner) replayRecorded() error {
 }
 
 // replayJump fast-forwards to the nearest engine checkpoint strictly below
-// the first failure point this campaign must dispatch: it restores the
+// the first failure point this runner must post-run: it restores the
 // serialized shadow, composes the pool image from the artifact's page
 // deltas, buckets the skipped failure points exactly as live dispatch
-// would have (owned-and-completed points resumed, the rest delegated), and
-// returns the checkpoint so the caller resumes the trace at its position.
+// would have (completed points resumed, other processes' points
+// delegated, both on sibling 0; a sibling's uncompleted points lie past
+// its own checkpoint, where it dispatches them live), and returns the
+// checkpoint so the caller resumes the trace at its position.
 // Returns nil — full-trace replay, still sound — when no checkpoint
 // qualifies, when the trace must be retained whole (KeepTrace), or when the
 // checkpoint fails to decode.
@@ -149,7 +145,7 @@ func (r *runner) replayJump(a *record.Artifact) *record.Checkpoint {
 	startFP := len(a.FPs)
 	if r.target.Post != nil {
 		for fp := 0; fp < len(a.FPs); fp++ {
-			if r.ownsRecorded(a, fp) && !r.cfg.CompletedFailurePoints[fp] {
+			if r.recordedOwner(a, fp) == ownedHere && !r.cfg.CompletedFailurePoints[fp] {
 				startFP = fp
 				break
 			}
@@ -178,33 +174,27 @@ func (r *runner) replayJump(a *record.Artifact) *record.Checkpoint {
 	r.opsSinceFP = 0
 	r.preEntries = ck.TraceIdx
 	if r.target.Post != nil {
-		r.degradeMu.Lock()
 		for fp := 0; fp <= ck.FP; fp++ {
-			if r.ownsRecorded(a, fp) {
-				r.resumedFPs++
+			if r.cfg.CompletedFailurePoints[fp] {
+				r.noteResumed()
 			} else {
-				r.otherShardFPs++
+				r.noteDelegated(r.recordedOwner(a, fp))
 			}
 		}
-		r.degradeMu.Unlock()
 	}
 	return ck
 }
 
 // replayFailurePoint handles one recorded failure-point marker: it brings
 // the pool image up to the failure point with the recorded page delta,
-// then mirrors live injection — the cancellation boundary, the counting,
-// the marker, and dispatchFP — with one addition: before dispatching, the
-// replayed shadow's crash-state fingerprint must match the recorded one.
+// then mirrors live injection — the counting, the marker, and dispatchFP
+// with its cancellation boundary — with one addition: before dispatching,
+// the replayed shadow's crash-state fingerprint must match the recorded
+// one.
 // Callers hold sinkMu.
 func (r *runner) replayFailurePoint(a *record.Artifact, fpIdx int) error {
 	if fpIdx >= len(a.FPs) {
 		return fmt.Errorf("core: recorded trace has more failure-point markers than the artifact's %d records", len(a.FPs))
-	}
-	if r.ctx.Err() != nil {
-		r.opsSinceFP = 0
-		r.noteSkipped(fmt.Sprintf("run cancelled: %v", context.Cause(r.ctx)))
-		return nil
 	}
 	fp := a.FPs[fpIdx]
 	for _, d := range fp.Delta {

@@ -116,8 +116,8 @@ func orUnknown(ip string) string {
 }
 
 // reportSet accumulates deduplicated reports in first-seen order. It is
-// safe for concurrent use: in parallel detection the pre-failure thread
-// (performance bugs) and the post-failure workers add simultaneously.
+// safe for concurrent use: the siblings of a Workers > 1 run share one,
+// and a timed post-run adds from its own goroutine.
 type reportSet struct {
 	mu      sync.Mutex
 	seen    map[string]struct{}
@@ -193,7 +193,9 @@ type Result struct {
 	BenignReads uint64
 	// PreSeconds and PostSeconds split the wall-clock detection time into
 	// the pre-failure stage and the (repeated) post-failure stage, the
-	// breakdown of Fig. 12a.
+	// breakdown of Fig. 12a. Under Workers > 1 PreSeconds is sibling 0's
+	// (every sibling runs the same stage) and PostSeconds sums the
+	// siblings' post-runs.
 	PreSeconds  float64
 	PostSeconds float64
 
@@ -229,10 +231,11 @@ type Result struct {
 	// HarnessFaults describes each quarantined failure point.
 	HarnessFaults []string
 	// ShadowPeakBytes is the peak number of live shadow-PM bytes across
-	// the run — the canonical shadow plus every concurrently live worker
-	// fork — and ShadowPages is the cumulative number of 4 KiB shadow
-	// pages allocated (lazy allocations plus copy-on-write clones). Both
-	// are zero in trace-only and original modes, which build no shadow.
+	// the run (under Workers > 1 the sum of the siblings' peaks, an upper
+	// bound of their concurrent peak), and ShadowPages is the cumulative
+	// number of 4 KiB shadow pages allocated (lazy allocations plus
+	// copy-on-write clones). Both are zero in trace-only and original
+	// modes, which build no shadow.
 	ShadowPeakBytes uint64
 	ShadowPages     uint64
 	// PoolBackend names the backend the campaign's root pool used

@@ -88,9 +88,8 @@ func TestStageErrorsKeepWrapping(t *testing.T) {
 	}
 }
 
-// TestNoWorkerLeakOnFailingStages: with Workers > 1, the parallel engine
-// must be drained even when Setup or Pre fails or panics (before the fix,
-// a failing Setup leaked every worker goroutine).
+// TestNoWorkerLeakOnFailingStages: with Workers > 1, every sibling
+// goroutine must finish even when Setup or Pre fails or panics.
 func TestNoWorkerLeakOnFailingStages(t *testing.T) {
 	stages := map[string]Target{
 		"setup-error": {
@@ -230,21 +229,23 @@ func TestPostRunTimeoutSparesFastRuns(t *testing.T) {
 }
 
 // TestCancellationAtFailurePointBoundaries: once the context is cancelled,
-// no further failure points are injected; the partial result is honest
-// about what was skipped.
+// no further post-runs start; the pre-failure stage still numbers every
+// failure point, and the partial result is honest about what was skipped.
+// Under workers=4 every sibling runs the pre-failure stage and bumps the
+// shared counter, so the cancellation lands wherever the third increment
+// does; each sibling still numbers all nine points.
 func TestCancellationAtFailurePointBoundaries(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
-			fired := 0
+			var fired atomic.Int32
 			target := Target{
 				Name: "cancel-mid-pre",
 				Pre: func(c *Ctx) error {
 					for i := 0; i < 8; i++ {
 						c.Pool().Store64(uint64(i)*64, 1)
 						c.Pool().Persist(uint64(i)*64, 8)
-						fired++
-						if fired == 3 {
+						if fired.Add(1) == 3 {
 							cancel()
 						}
 					}
@@ -259,13 +260,16 @@ func TestCancellationAtFailurePointBoundaries(t *testing.T) {
 			if !res.Incomplete {
 				t.Fatalf("cancelled run not marked incomplete:\n%s", res)
 			}
-			if res.FailurePoints != 3 {
-				t.Errorf("failure points = %d, want 3 (injection stops at cancellation)", res.FailurePoints)
+			// 8 ordering points plus the final quiescent injection, all
+			// numbered whether or not their post-runs ran.
+			if res.FailurePoints != 9 {
+				t.Errorf("failure points = %d, want 9 (numbering continues past cancellation)", res.FailurePoints)
 			}
-			// The 5 remaining ordering points plus the final quiescent
-			// injection are skipped.
-			if res.SkippedFailurePoints != 6 {
-				t.Errorf("skipped = %d, want 6", res.SkippedFailurePoints)
+			checkBuckets(t, res)
+			if workers == 1 && (res.PostRuns != 3 || res.SkippedFailurePoints != 6) {
+				// The 5 remaining ordering points plus the final quiescent
+				// injection are skipped.
+				t.Errorf("post runs / skipped = %d / %d, want 3 / 6", res.PostRuns, res.SkippedFailurePoints)
 			}
 			if !strings.Contains(res.IncompleteReason, "cancelled") {
 				t.Errorf("reason %q does not mention cancellation", res.IncompleteReason)
@@ -390,7 +394,7 @@ func TestSinkFaultQuarantine(t *testing.T) {
 
 // TestSinkFaultInPreStage: a harness fault while tracing the pre-failure
 // stage fails the run with an error — gracefully, and without leaking the
-// parallel engine's workers.
+// sibling goroutines of a Workers > 1 run.
 func TestSinkFaultInPreStage(t *testing.T) {
 	hooks := &pmem.FaultHooks{Sink: func(e trace.Entry) error {
 		if e.Stage == trace.PreFailure && e.Kind == trace.Write {
@@ -470,8 +474,8 @@ func TestResumeConvergesToIdenticalReports(t *testing.T) {
 }
 
 // TestMaxPostOpsBudgetUnderWorkers: a post-failure stage that loops over
-// PM forever is cut off by the operation budget in the parallel engine
-// exactly as in sequential mode — same post-failure-fault report, same
+// PM forever is cut off by the operation budget under Workers > 1 exactly
+// as in sequential mode — same post-failure-fault report, same
 // deduplicated set.
 func TestMaxPostOpsBudgetUnderWorkers(t *testing.T) {
 	mk := func() Target {

@@ -67,6 +67,25 @@ func TestShardConfigValidation(t *testing.T) {
 	}
 }
 
+// TestWorkersConfigValidation: a negative Workers is a harness error, like
+// a negative ShardCount, while 0 and 1 both mean sequential detection.
+func TestWorkersConfigValidation(t *testing.T) {
+	if _, err := Run(Config{Workers: -1}, figure11Target("workers-cfg")); err == nil {
+		t.Error("Workers=-1: expected a config error")
+	}
+	seq, err := Run(Config{Workers: 1}, figure11Target("workers-cfg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := Run(Config{Workers: 0}, figure11Target("workers-cfg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalKeys(sortedKeys(zero), sortedKeys(seq)) || zero.PostRuns != seq.PostRuns || zero.FailurePoints != seq.FailurePoints {
+		t.Errorf("Workers=0 diverges from Workers=1: %+v vs %+v", zero, seq)
+	}
+}
+
 // TestShardUnionEquivalence: for both targets, both worker modes, and
 // N ∈ {2, 3}: every shard injects the full failure-point count, owns a
 // disjoint subset of post-runs, reports a sound subset of the sequential
@@ -160,7 +179,9 @@ func repeatTarget(name string) Target {
 // the failure points and classes one process does — no class is split, no
 // verdict crosses shards — with every shard's buckets summing and the
 // union of keys equal to the single-process set. Under -no-prune the
-// shards partition failure points and each post-runs its own.
+// shards partition failure points and each post-runs its own. Workers > 1
+// nests W sibling class shards inside each process shard, which must
+// leave every merged figure unchanged, shards=1 included.
 func TestClassShardsPostRunLikeOneProcess(t *testing.T) {
 	for _, prune := range []bool{true, false} {
 		single, err := Run(Config{DisablePruning: !prune}, repeatTarget("class-shards"))
@@ -170,14 +191,17 @@ func TestClassShardsPostRunLikeOneProcess(t *testing.T) {
 		if prune && single.PrunedFailurePoints == 0 {
 			t.Fatal("repeat target pruned nothing; the class split would be vacuous")
 		}
-		for _, workers := range []int{1, 4} {
-			for _, shards := range []int{2, 3} {
+		for _, workers := range []int{1, 2, 3, 4} {
+			for _, shards := range []int{1, 2, 3} {
 				t.Run(fmt.Sprintf("prune=%v/workers=%d/shards=%d", prune, workers, shards), func(t *testing.T) {
 					union := newReportSet()
 					posts, classes, pruned := 0, 0, 0
 					want := PartitionByFailurePoint
 					if prune {
 						want = PartitionByClass
+					}
+					if shards == 1 {
+						want = ""
 					}
 					for idx := 0; idx < shards; idx++ {
 						res, err := Run(Config{
@@ -189,8 +213,9 @@ func TestClassShardsPostRunLikeOneProcess(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got := res.BucketedFailurePoints(); got != res.FailurePoints {
-							t.Errorf("shard %d: buckets sum to %d, want %d: %+v", idx, got, res.FailurePoints, res)
+						if got := res.BucketedFailurePoints(); got != res.FailurePoints || res.FailurePoints != single.FailurePoints {
+							t.Errorf("shard %d: buckets sum to %d of %d failure points, one process has %d: %+v",
+								idx, got, res.FailurePoints, single.FailurePoints, res)
 						}
 						if res.ShardPartition != want {
 							t.Errorf("shard %d: partition %q, want %q", idx, res.ShardPartition, want)
@@ -292,7 +317,7 @@ type checkpointRecord struct {
 
 // TestParallelCheckpointSerializedAndResumes is the Workers>1 checkpoint
 // contract under the race detector: OnPostRunComplete invocations must be
-// serialized even though they originate on worker goroutines (the callback
+// serialized even though they originate on sibling goroutines (the callback
 // appends to a JSONL file, exactly like the CLI's -checkpoint), and a
 // parallel campaign resumed from the first half of that checkpoint must
 // converge to the sequential report key set.

@@ -25,7 +25,8 @@ type VerdictSource interface {
 	// set matches an uncached run byte for byte.
 	Lookup(fingerprint uint64) ([]Report, bool)
 	// Store records a clean representative's fresh reports. It is called
-	// after the representative's checkpoint callback, on whichever
-	// goroutine resolved the class.
+	// after the representative's checkpoint callback, on the goroutine of
+	// the runner that owns the class: under Workers > 1 several siblings
+	// call Lookup and Store concurrently.
 	Store(fingerprint uint64, reports []Report)
 }

@@ -69,12 +69,12 @@ func CheckSeed(seed int64, knob Knob) error {
 //   - ModeDetect sequential: full comparison (keys, failure points, post
 //     runs, benign bytes, trace-entry counts, post-read byte digests);
 //   - ModeDetect with Workers ∈ diffWorkers: same full comparison — the
-//     parallel engine promises the identical report set. Every full
-//     comparison runs on the delta snapshots, copy-on-write post-failure
-//     pools and sparse paged shadow, so the oracle, which shares no logic
-//     with the shadow or the snapshot code, holds those optimizations to
-//     the exact verdicts and the exact bytes every post-failure load
-//     observes;
+//     sibling class shards post-run exactly the sequential run's failure
+//     points and share one report set. Every full comparison runs on the
+//     delta snapshots, copy-on-write post-failure pools and sparse paged
+//     shadow, so the oracle, which shares no logic with the shadow or the
+//     snapshot code, holds those optimizations to the exact verdicts and
+//     the exact bytes every post-failure load observes;
 //   - ModeDetect on a file-backed pool (linux only): same full comparison,
 //     plus the backing file must hold the byte-identical final image of
 //     the setup+pre stores — msync-granularity persistence must be

@@ -48,7 +48,7 @@ func postStoreValue(i int) byte { return byte(i%251) + 2 }
 
 // PostReadLog records the exact bytes every post-failure load observed,
 // keyed by failure point and post-op index. It is safe for concurrent
-// use: parallel workers run post-failure stages concurrently.
+// use: the siblings of a Workers > 1 run post-failure stages concurrently.
 type PostReadLog struct {
 	mu sync.Mutex
 	m  map[string]string

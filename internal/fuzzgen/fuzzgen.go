@@ -4,7 +4,7 @@
 // Testing work (Gu et al.) argue every PM bug detector needs: an
 // *independent oracle* that re-derives the expected verdicts from first
 // principles, so a soundness or completeness regression in internal/shadow
-// or the parallel engine is caught by construction instead of waiting for a
+// or the parallel runners is caught by construction instead of waiting for a
 // hand-written workload to trip over it.
 //
 // The package has three parts:
@@ -163,7 +163,7 @@ const maxProgramPool = 1 << 20
 // Validate checks the invariants the executor and oracle rely on. It
 // rejects out-of-bounds ranges (pool accessors would panic mid-run) and
 // post-failure registrations that do not replay an earlier one: the
-// parallel engine's equivalence contract assumes post-failure
+// equivalence contract between engine configurations assumes post-failure
 // (re-)registrations are idempotent, which only holds when the original
 // registration precedes every failure point that could observe it.
 func (p Program) Validate() error {

@@ -112,10 +112,11 @@ func Generate(seed int64, knob Knob) Program {
 	}
 	g := &gen{r: r, cfg: cfg, p: &p}
 
-	// Commit variables are registered in Setup only: the parallel engine's
-	// equivalence contract requires every variable to predate the first
-	// failure point (post-failure registrations are then idempotent
-	// replays; see Program.Validate).
+	// Commit variables are registered in Setup only: a post-failure
+	// registration lands in the shadow of whichever runner post-runs the
+	// point, so engine configurations agree only when every variable
+	// predates the first failure point (post-failure registrations are
+	// then idempotent replays; see Program.Validate).
 	if cfg.commitBlock > 0 {
 		n := 1 + r.intn(2)
 		for i := 0; i < n; i++ {

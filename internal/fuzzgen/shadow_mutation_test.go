@@ -12,24 +12,14 @@ import (
 
 // shadowMutants are the deliberate bugs seeded into the paged shadow: a
 // fence fast path that treats every pending cache line as uniformly
-// WritebackPending (spuriously persisting bytes re-modified after the
-// writeback — the range-batching soundness hazard), and a writablePage
-// that skips copy-on-write privatization (worker forks observe shadow state
-// from after their failure point — the fork-isolation soundness hazard).
-// The oracle shares neither mechanism, so every divergence it flags is the
-// mutant's.
+// WritebackPending, spuriously persisting bytes re-modified after the
+// writeback — the range-batching soundness hazard. The oracle does not
+// share the mechanism, so every divergence it flags is the mutant's.
 var shadowMutants = []struct {
 	name string
 	set  func(bool)
-	// racy marks mutants that break the copy-on-write discipline itself:
-	// with privatization disabled, the canonical shadow and worker forks
-	// genuinely race on shared pages, so under -race the detector would
-	// (correctly) abort the process before the differential comparison
-	// could flag the divergence. Those subtests run only without -race.
-	racy bool
 }{
-	{"lost-range-batch", shadow.SetLostRangeBatchForTest, false},
-	{"stale-fork-page", shadow.SetStaleForkPageForTest, true},
+	{"lost-range-batch", shadow.SetLostRangeBatchForTest},
 }
 
 // shadowMutationKnobs are the generator biases the seed-based mutation test
@@ -40,7 +30,7 @@ var shadowMutants = []struct {
 var shadowMutationKnobs = []Knob{KnobDroppedFence, KnobMixed}
 
 // TestShadowMutationCaught proves the differential suite would notice a
-// regression in the shadow's range batching or fork privatization.
+// regression in the shadow's range batching.
 // Must not run in parallel with other tests: the mutation switches are
 // package-level toggles in internal/shadow.
 func TestShadowMutationCaught(t *testing.T) {
@@ -54,9 +44,6 @@ func TestShadowMutationCaught(t *testing.T) {
 	}
 	for _, mut := range shadowMutants {
 		t.Run(mut.name, func(t *testing.T) {
-			if mut.racy && raceEnabled {
-				t.Skipf("%s disables COW privatization, a genuine data race; exercised without -race", mut.name)
-			}
 			mut.set(true)
 			defer mut.set(false)
 			caught := 0
@@ -81,8 +68,8 @@ func TestShadowMutationCaught(t *testing.T) {
 }
 
 // TestShadowMutationCaughtByCorpus requires that the checked-in corpus
-// alone — the deterministic regression tests replayed in CI — catches both
-// shadow mutants, so the safety net does not depend on which seeds a
+// alone — the deterministic regression tests replayed in CI — catches the
+// shadow mutant, so the safety net does not depend on which seeds a
 // fuzzing campaign happens to explore. corpus/mixed-state-line.json is the
 // hand-written reproducer for lost-range-batch: a full-line store and
 // writeback followed by a partial re-store leaves the line mixed
@@ -97,9 +84,6 @@ func TestShadowMutationCaughtByCorpus(t *testing.T) {
 	}
 	for _, mut := range shadowMutants {
 		t.Run(mut.name, func(t *testing.T) {
-			if mut.racy && raceEnabled {
-				t.Skipf("%s disables COW privatization, a genuine data race; exercised without -race", mut.name)
-			}
 			mut.set(true)
 			defer mut.set(false)
 			caught := 0

@@ -37,8 +37,8 @@ func (f *HarnessFault) Unwrap() error { return f.Err }
 // FaultHooks injects deterministic harness-internal faults. Each hook is
 // consulted before the operation it guards; returning a non-nil error fails
 // that operation with a *HarnessFault. The zero value injects nothing.
-// Hooks must be safe for concurrent use (parallel detection calls them from
-// worker goroutines).
+// Hooks must be safe for concurrent use (under core.Config.Workers > 1
+// every sibling runner consults them from its own goroutine).
 type FaultHooks struct {
 	// Snapshot is consulted before each PM image copy (SnapshotErr); a
 	// non-nil error fails the copy.
@@ -75,11 +75,11 @@ type FaultHooks struct {
 //
 // Propagation contract: the detection frontend installs the pre-failure
 // pool's hooks on every post-failure pool it builds (the COW views over
-// failure-point snapshots), and the shadow forks handed to parallel
-// workers check against those same views — so a fault class armed on the
-// root pool keeps firing across every post-failure attempt and every
-// worker, with no un-instrumented copies. TestFaultHooksPropagation in
-// internal/core pins this contract.
+// failure-point snapshots), and under core.Config.Workers > 1 every
+// sibling installs the same hooks on its own root and post-failure pools —
+// so a fault class armed for a campaign keeps firing across every
+// post-failure attempt and every sibling, with no un-instrumented copies.
+// TestFaultHooksPropagation in internal/core pins this contract.
 func (p *Pool) SetFaultHooks(h *FaultHooks) {
 	p.mu.Lock()
 	p.faults = h

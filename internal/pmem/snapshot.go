@@ -27,12 +27,13 @@ package pmem
 //     overlay — instead of re-copying the image.
 //
 // COW aliasing contract: Snapshot.pages may be shared between the snapshot,
-// the root pool's base, later snapshots, and any number of concurrent
-// post-failure views. All of them treat shared pages as read-only; the only
-// writers are (a) the root pool, into its private flat buffer, and (b) a
-// view, into pages it has privatized under its own mutex. This mirrors the
-// trace prefix-aliasing contract of the parallel engine (internal/core,
-// fpWork): sharing is safe because the shared region is never mutated.
+// the root pool's base, later snapshots, and post-failure views — among
+// them the view of an abandoned timed post-run whose goroutine is still
+// unwinding while the pre-failure stage moves on. All of them treat shared
+// pages as read-only; the only writers are (a) the root pool, into its
+// private flat buffer, and (b) a view, into pages it has privatized under
+// its own mutex. Sharing is safe because the shared region is never
+// mutated.
 
 // PageSize is the dirty-tracking and copy-on-write granularity.
 const PageSize = 4096

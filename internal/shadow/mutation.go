@@ -21,22 +21,6 @@ var unsoundFlushForTest bool
 // must not toggle it while a detection run is in flight.
 func SetUnsoundFlushForTest(on bool) { unsoundFlushForTest = on }
 
-// staleForkPageForTest breaks the copy-on-write fork contract: the
-// canonical shadow's writablePage skips privatizing pages shared with
-// forks and mutates them in place, so a fork observes pre-failure state
-// from *after* its failure point — typically seeing bytes as Persisted
-// that a later fence persisted, and therefore missing cross-failure races.
-// This is the exact bug class the fork design must exclude; the mutation
-// suite proves the differential fuzzer and the Table 4 equivalence tests
-// would catch it. Because the mutant writes shared pages while workers
-// read them, it is a genuine data race: the tests that enable it are
-// skipped under the race detector (see internal/fuzzgen/racetag_off.go).
-var staleForkPageForTest bool
-
-// SetStaleForkPageForTest toggles the deliberate COW-fork break. Callers
-// must not toggle it while a detection run is in flight.
-func SetStaleForkPageForTest(on bool) { staleForkPageForTest = on }
-
 // lostRangeBatchForTest breaks the fence's range-fill fast path: every
 // pending line is treated as uniformly WritebackPending, including lines
 // demoted because a store re-modified bytes after the flush. The mutant

@@ -15,16 +15,19 @@ package shadow
 // touch, and an allocation bitmap (PM.slots) lets a fingerprint visit only
 // allocated slots.
 //
-// Pages are reference-counted so that parallel detection can capture
-// copy-on-write forks of the canonical shadow (Fork): a fork shares every
-// page with its parent, and whichever side writes first privatizes the page
-// (writablePage). The pre-failure thread is the only writer of the
-// canonical shadow and each fork is written only by the worker that owns
-// it, so the only cross-thread traffic on a shared page is the refcount,
-// which is manipulated atomically; the page arrays themselves are immutable
-// while shared. The fingerprint cache is the one part of a shared page
-// that changes: it belongs to the canonical thread, which alone reads and
-// writes it, and forks never touch it.
+// Pages are reference-counted, so a page can be shared: cold-page
+// compaction (compact.go) maps persisted pages to shared singletons, and a
+// copy-on-write fork of the canonical shadow (Fork) shares every page with
+// its parent, whichever side writes first privatizing it (writablePage).
+// Detection does not fork — each sibling of a parallel run owns its
+// shadow — but perfbench times Fork as a shadow layer. The thread
+// advancing the canonical shadow is its only writer and each fork is
+// written only by the goroutine that owns it, so the only cross-thread
+// traffic on a shared page is the refcount, which is manipulated
+// atomically; the page arrays themselves are immutable while shared. The
+// fingerprint cache is the one part of a shared page that changes: it
+// belongs to the canonical thread, which alone reads and writes it, and
+// forks never touch it.
 
 import (
 	"sync/atomic"
@@ -87,9 +90,9 @@ const pageFootprint = int64(unsafe.Sizeof(page{}))
 
 func numPages(size uint64) int { return int((size + pageBytes - 1) >> pageShift) }
 
-// Stats aggregates shadow memory accounting for one detection run. The
+// Stats aggregates shadow memory accounting for one shadow PM. The
 // canonical shadow and every fork taken from it share one Stats, so the
-// peak covers all concurrently live shadow state across workers.
+// peak covers all of their concurrently live shadow state.
 type Stats struct {
 	live  atomic.Int64
 	peak  atomic.Int64
@@ -147,7 +150,7 @@ func (s *PM) writablePage(pi int) *page {
 		s.setPage(pi, pg)
 		return pg
 	}
-	if atomic.LoadInt32(&pg.refs) > 1 && !staleForkPageForTest {
+	if atomic.LoadInt32(&pg.refs) > 1 {
 		np := s.newPage()
 		np.state = pg.state
 		np.writeEpoch = pg.writeEpoch
@@ -204,10 +207,10 @@ func pageSpan(b, end uint64) (pi, lo, hi int, next uint64) {
 // (refcounted; either side privatizes a page before writing it), deep-
 // copies the commit-variable records — the parent keeps mutating those in
 // place at every store and fence — and shares the interned-writer table
-// under the same stable-prefix aliasing contract the parallel engine uses
-// for the pre-failure trace. Fork must be called from the thread advancing
-// the shadow; handing the fork to another goroutine (e.g. through a
-// channel) establishes the ordering its reads rely on.
+// under a stable-prefix aliasing contract: the parent only appends to it.
+// Fork must be called from the thread advancing the shadow; handing the
+// fork to another goroutine (e.g. through a channel) establishes the
+// ordering its reads rely on.
 //
 // A fork supports the post-failure check surface — BeginPostCheck,
 // PostChecker, the accessors, and Apply of RegCommitVar/RegCommitRange —

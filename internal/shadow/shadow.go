@@ -20,9 +20,8 @@
 // The metadata lives in lazily allocated 4 KiB shadow pages (page.go), so
 // memory is proportional to the bytes the execution touches rather than to
 // the pool size, and the hot FSM transitions fast-path uniform cache lines
-// and pages with range fills instead of per-byte loops. Parallel detection
-// captures copy-on-write forks of the shadow per failure point (Fork in
-// page.go).
+// and pages with range fills instead of per-byte loops. A shadow can be
+// forked copy-on-write (Fork in page.go).
 //
 // Commit variables (§3.2) are registered through RegCommitVar /
 // RegCommitRange trace entries; see commit.go for the Eq. 3 consistency
