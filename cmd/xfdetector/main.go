@@ -271,7 +271,7 @@ func realMain(args []string) int {
 		defer f.Close()
 		recordFile = f
 		cfg.Record = record.NewWriter(f, programIdentity(*workload, *patch, *mode, *initSize,
-			*testSize, *updates, *updRounds, *removes, *poolMB, *maxFP), cfg.PoolSize, 0)
+			*testSize, *updates, *updRounds, *removes, *poolMB, *maxFP, 0), cfg.PoolSize, 0)
 	}
 	if *fromRecord != "" {
 		a, err := record.Load(*fromRecord)
@@ -279,7 +279,7 @@ func realMain(args []string) int {
 			return errorf("%v", err)
 		}
 		id := programIdentity(*workload, *patch, *mode, *initSize,
-			*testSize, *updates, *updRounds, *removes, *poolMB, *maxFP)
+			*testSize, *updates, *updRounds, *removes, *poolMB, *maxFP, 0)
 		if a.Identity != id {
 			return errorf("artifact %s was recorded for a different program/config (identity %016x, this campaign %016x); re-record it",
 				*fromRecord, a.Identity, id)
@@ -324,7 +324,7 @@ func realMain(args []string) int {
 			}
 			defer vc.Close()
 			cfg.Verdicts = vc.Bind(programIdentity(*workload, *patch, *mode, *initSize,
-				*testSize, *updates, *updRounds, *removes, *poolMB, *maxFP))
+				*testSize, *updates, *updRounds, *removes, *poolMB, *maxFP, *postTimeout))
 		}
 	}
 	if *shards > 1 {
@@ -484,12 +484,16 @@ const shardProgressEvery = 10
 // mode, the failure-point cap) must change the identity: fingerprints
 // cover only the pre-failure state, so two programs differing solely in
 // their post-failure stage collide on fingerprints and are told apart by
-// identity alone.
-func programIdentity(workload, patch, mode string, initSize, testSize, updates, updRounds, removes, poolMB, maxFP int) uint64 {
-	return vcache.Identity(
-		"workload="+workload,
-		"patch="+patch,
-		"mode="+mode,
+// identity alone. A post-run deadline changes verdicts too (an abandoned
+// run is a PostFailureFault), so a positive postTimeout joins the
+// identity; without one the identity is unchanged, and cache files filled
+// by runs without a deadline keep their hits. The -record artifact
+// identity passes 0: it covers only the pre-failure stage.
+func programIdentity(workload, patch, mode string, initSize, testSize, updates, updRounds, removes, poolMB, maxFP int, postTimeout time.Duration) uint64 {
+	parts := []string{
+		"workload=" + workload,
+		"patch=" + patch,
+		"mode=" + mode,
 		fmt.Sprintf("init=%d", initSize),
 		fmt.Sprintf("test=%d", testSize),
 		fmt.Sprintf("updates=%d", updates),
@@ -497,7 +501,11 @@ func programIdentity(workload, patch, mode string, initSize, testSize, updates, 
 		fmt.Sprintf("removes=%d", removes),
 		fmt.Sprintf("pool-mb=%d", poolMB),
 		fmt.Sprintf("max-failure-points=%d", maxFP),
-	)
+	}
+	if postTimeout > 0 {
+		parts = append(parts, "post-timeout="+postTimeout.String())
+	}
+	return vcache.Identity(parts...)
 }
 
 // shardBaseArgs rebuilds the workload/engine flags -submit and -spawn

@@ -117,6 +117,45 @@ func TestWarmVerdictCacheSecondRun(t *testing.T) {
 	}
 }
 
+// TestVerdictCacheKeysPostTimeout: a post-run deadline changes verdicts —
+// a run it abandons becomes a PostFailureFault — so a warm run under a
+// deadline must not reuse the verdicts a run without one cached, while a
+// warm run under its cold run's deadline still reuses them all.
+func TestVerdictCacheKeysPostTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-execs detection campaigns")
+	}
+	dir := t.TempDir()
+	const small = "-workload btree -init 3 -test 10 -patch btree-write-after-commit"
+	run := func(label, args string) string {
+		t.Helper()
+		code, out := runCLI(t, small+" "+args)
+		if code != 0 && code != 1 {
+			t.Fatalf("%s run exited %d:\n%s", label, code, out)
+		}
+		return out
+	}
+
+	plain := "-verdict-cache " + filepath.Join(dir, "plain.cache")
+	if post := extract(t, postRunsRe, run("cold", plain)); post == 0 {
+		t.Fatal("cold run post-ran nothing; the cache stays empty")
+	}
+	out := run("deadline-warm", plain+" -post-timeout 1ns")
+	if hits := extract(t, cacheHitsRe, out); hits != 0 {
+		t.Errorf("a -post-timeout 1ns run reused %d verdicts cached without a deadline:\n%s", hits, out)
+	}
+
+	timed := "-post-timeout 10s -verdict-cache " + filepath.Join(dir, "timed.cache")
+	coldPost := extract(t, postRunsRe, run("timed-cold", timed))
+	out = run("timed-warm", timed)
+	if hits := extract(t, cacheHitsRe, out); hits != coldPost {
+		t.Errorf("warm run under the cold run's deadline reused %d verdicts, want %d:\n%s", hits, coldPost, out)
+	}
+	if post := extract(t, postRunsRe, out); post != 0 {
+		t.Errorf("warm run under the cold run's deadline still post-ran %d failure points:\n%s", post, out)
+	}
+}
+
 // TestSpawnShardVerdictCaches: a -spawn fleet fills the one verdict cache
 // its daemon holds for every shard, and a repeat fleet over the same
 // workdir reuses it — the merged key set stays identical and the summed

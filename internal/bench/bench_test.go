@@ -92,8 +92,9 @@ func TestWriteTable1Output(t *testing.T) {
 	}
 }
 
-// TestFig12aShape runs the Fig. 12a experiment once and checks the
-// paper's shape: the post-failure stage dominates for every workload.
+// TestFig12aShape runs the Fig. 12a experiment and checks the paper's
+// shape on its per-workload medians: the post-failure stage dominates for
+// every workload.
 func TestFig12aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run")

@@ -25,27 +25,46 @@ type Fig12aRow struct {
 	PostRuns      int
 }
 
+// fig12aRuns is how many times Fig12a runs each workload. One campaign
+// takes a few milliseconds, so one scheduling stall can flip a single
+// run's pre/post split; the median of five interleaved rounds absorbs two.
+const fig12aRuns = 5
+
 // Fig12a runs the §6.2.1 execution-time experiment: each workload performs
 // one insertion under detection (after a one-insertion initialization),
 // with one post-failure operation per failure point. The paper's campaign
 // runs every failure point, so the reproduction disables crash-state
-// pruning; the pruning win is measured separately (PruneAblation).
+// pruning; the pruning win is measured separately (PruneAblation). Each
+// row reports the median pre- and post-failure times of fig12aRuns
+// rounds, every round running all workloads in turn.
 func Fig12a() ([]Fig12aRow, error) {
-	var rows []Fig12aRow
-	for _, w := range Table4() {
-		res, err := core.Run(core.Config{PoolSize: DefaultPoolSize, DisablePruning: true}, w.Target(Fig12Config))
-		if err != nil {
-			return nil, fmt.Errorf("fig12a %s: %w", w.Name, err)
+	workloads := Table4()
+	rows := make([]Fig12aRow, len(workloads))
+	pre := make([][]float64, len(workloads))
+	post := make([][]float64, len(workloads))
+	for round := 0; round < fig12aRuns; round++ {
+		for i, w := range workloads {
+			res, err := core.Run(core.Config{PoolSize: DefaultPoolSize, DisablePruning: true}, w.Target(Fig12Config))
+			if err != nil {
+				return nil, fmt.Errorf("fig12a %s: %w", w.Name, err)
+			}
+			pre[i] = append(pre[i], res.PreSeconds)
+			post[i] = append(post[i], res.PostSeconds)
+			rows[i] = Fig12aRow{Workload: w.Name, FailurePoints: res.FailurePoints, PostRuns: res.PostRuns}
 		}
-		rows = append(rows, Fig12aRow{
-			Workload:      w.Name,
-			PreSeconds:    res.PreSeconds,
-			PostSeconds:   res.PostSeconds,
-			FailurePoints: res.FailurePoints,
-			PostRuns:      res.PostRuns,
-		})
+	}
+	for i := range rows {
+		rows[i].PreSeconds = median(pre[i])
+		rows[i].PostSeconds = median(post[i])
 	}
 	return rows, nil
+}
+
+// median returns the middle value of an odd-length sample, sorting it in
+// place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }
 
 // WriteFig12a renders the experiment as the paper's figure data.
@@ -54,7 +73,7 @@ func WriteFig12a(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Figure 12a — XFDetector execution time per workload (1 init + 1 test insertion)")
+	fmt.Fprintf(w, "Figure 12a — XFDetector execution time per workload (1 init + 1 test insertion; median of %d runs)\n", fig12aRuns)
 	fmt.Fprintf(w, "%-16s %12s %12s %12s %8s\n", "workload", "pre (s)", "post (s)", "total (s)", "#FPs")
 	var geoPre, geoPost float64 = 1, 1
 	for _, r := range rows {
@@ -119,8 +138,7 @@ func Fig12b() ([]Fig12bRow, error) {
 		}
 		times := map[core.Mode]float64{}
 		for _, mode := range modes {
-			sort.Float64s(samples[mode])
-			times[mode] = samples[mode][fig12bRuns/2]
+			times[mode] = median(samples[mode])
 		}
 		const floor = 50e-9 // avoid dividing by timer noise
 		orig := times[core.ModeOriginal]

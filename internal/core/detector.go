@@ -349,12 +349,6 @@ func (r *runner) run() (*Result, error) {
 	}
 	if cfg.Mode == ModeDetect {
 		r.sh = shadow.NewPM(r.pool.Size())
-		if r.pool.FileBacked() {
-			// File-backed campaigns run long and bulk-initialize large
-			// pools; once a page's lines persist the shadow drops it for a
-			// shared singleton (shadow cold-page compaction).
-			r.sh.SetColdPageCompaction(true)
-		}
 		if !cfg.DisablePerfBugs {
 			r.sh.SetPerfBugHandler(r.onPerfBug)
 		}
@@ -869,7 +863,7 @@ func (r *runner) runPost(fpID int, fpr uint64, rep bool) {
 // when no deadline is configured, on its own goroutine under
 // PostRunTimeout otherwise.
 func (r *runner) attemptPost(fpID int) postOutcome {
-	snap, err := r.pool.SnapshotErr()
+	snap, err := r.pool.SnapshotErr(fpID)
 	if err != nil {
 		return postOutcome{harness: err}
 	}

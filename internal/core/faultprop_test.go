@@ -89,9 +89,10 @@ func TestFaultHooksPropagation(t *testing.T) {
 func TestQuarantineAccountingExact(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var calls atomic.Int64
-			hooks := &pmem.FaultHooks{Snapshot: func() error {
-				if n := calls.Add(1); n == 2 || n == 3 {
+			// Fail failure point 1's attempt and its retry, whichever
+			// sibling owns the point and however the siblings interleave.
+			hooks := &pmem.FaultHooks{Snapshot: func(fp int) error {
+				if fp == 1 {
 					return errors.New("copy exhausted")
 				}
 				return nil

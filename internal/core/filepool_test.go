@@ -22,8 +22,8 @@ func filePoolPath(t *testing.T) string {
 }
 
 // TestFileBackedRunMatchesMemory: the same campaign on a file-backed pool
-// yields the byte-identical deduplicated report set as in-memory, and the
-// Result carries honest msync accounting.
+// yields the byte-identical deduplicated report set as in-memory and the
+// same shadow footprint, and the Result carries honest msync accounting.
 func TestFileBackedRunMatchesMemory(t *testing.T) {
 	mem, err := Run(Config{}, figure11Target("backend-parity"))
 	if err != nil {
@@ -51,6 +51,14 @@ func TestFileBackedRunMatchesMemory(t *testing.T) {
 			}
 			if file.Incomplete {
 				t.Errorf("clean file-backed run marked incomplete:\n%s", file)
+			}
+			// Both backends run one shadow path, so the shadow footprint
+			// cannot depend on the backend. The workers=4 arm sums four
+			// siblings' shadows, which the one-runner memory run cannot
+			// match.
+			if workers == 1 && (file.ShadowPeakBytes != mem.ShadowPeakBytes || file.ShadowPages != mem.ShadowPages) {
+				t.Errorf("shadow footprint depends on the backend: file %d B peak, %d pages; memory %d B, %d pages",
+					file.ShadowPeakBytes, file.ShadowPages, mem.ShadowPeakBytes, mem.ShadowPages)
 			}
 			checkBuckets(t, file)
 		})

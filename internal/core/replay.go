@@ -162,9 +162,6 @@ func (r *runner) replayJump(a *record.Artifact) *record.Checkpoint {
 	if !r.cfg.DisablePerfBugs {
 		sh.SetPerfBugHandler(r.onPerfBug)
 	}
-	if r.pool.FileBacked() {
-		sh.SetColdPageCompaction(true)
-	}
 	r.sh = sh
 	for _, d := range a.PoolAt(ck.FP) {
 		r.pool.Poke(uint64(d.Index)*pmem.PageSize, d.Data)

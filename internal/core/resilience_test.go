@@ -284,12 +284,10 @@ func TestCancellationAtFailurePointBoundaries(t *testing.T) {
 func TestSnapshotFaultQuarantine(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var calls atomic.Int64
-			hooks := &pmem.FaultHooks{Snapshot: func() error {
+			hooks := &pmem.FaultHooks{Snapshot: func(fp int) error {
 				// Fail both the first attempt and its retry for the second
 				// failure point only.
-				n := calls.Add(1)
-				if n == 2 || n == 3 {
+				if fp == 1 {
 					return errors.New("image copy exhausted")
 				}
 				return nil
@@ -339,7 +337,7 @@ func TestSnapshotFaultRetrySucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var failed atomic.Bool
-	hooks := &pmem.FaultHooks{Snapshot: func() error {
+	hooks := &pmem.FaultHooks{Snapshot: func(int) error {
 		if failed.CompareAndSwap(false, true) {
 			return errors.New("transient copy failure")
 		}

@@ -87,7 +87,7 @@ func CheckSeed(seed int64, knob Knob) error {
 //     PostRuns + PrunedFailurePoints == FailurePoints accounting, every
 //     observed post-read byte digest predicted by the oracle, and
 //     identical pruning decisions across sequential, parallel and
-//     file-backed (cold-page-compacted) runs;
+//     file-backed runs;
 //   - ModeDetect as a three-shard fleet partitioned by crash-state class:
 //     identical merged key set, exact per-shard bucket accounting, and
 //     exactly the single-process run's post-runs and classes across the
@@ -169,7 +169,7 @@ func CheckProgram(p Program) error {
 	// identical pruning decisions.
 	prunedCfgs := []struct {
 		name string
-		file bool // back the pool with a file (enables cold-page compaction)
+		file bool // back the pool with a file
 		cfg  core.Config
 	}{
 		{"pruned", false, core.Config{}},
@@ -183,10 +183,9 @@ func CheckProgram(p Program) error {
 			if !fileBackedDiff {
 				continue
 			}
-			// The file-backed detect-mode run enables the shadow's cold-page
-			// compaction, so this configuration doubles as the fuzzer's proof
-			// that compaction leaves the crash-state fingerprints — and hence
-			// every pruning decision — untouched.
+			// A file-backed pool must leave the crash-state fingerprints —
+			// and hence every pruning decision — as the in-memory runs
+			// make them.
 			dir, err := os.MkdirTemp("", "xfdfuzz-pool-")
 			if err != nil {
 				return fmt.Errorf("fuzzgen: %q: temp pool dir: %w", p.Name, err)

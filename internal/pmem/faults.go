@@ -40,9 +40,11 @@ func (f *HarnessFault) Unwrap() error { return f.Err }
 // Hooks must be safe for concurrent use (under core.Config.Workers > 1
 // every sibling runner consults them from its own goroutine).
 type FaultHooks struct {
-	// Snapshot is consulted before each PM image copy (SnapshotErr); a
-	// non-nil error fails the copy.
-	Snapshot func() error
+	// Snapshot is consulted before each PM image copy (SnapshotErr) with
+	// the failure point the image is taken at; a non-nil error fails the
+	// copy. The failure point lets a fault target one point's attempts
+	// however the siblings of a parallel campaign interleave.
+	Snapshot func(fp int) error
 	// Sink is consulted before each trace-sink delivery with the entry
 	// about to be recorded; a non-nil error aborts the recording operation
 	// by panicking with a *HarnessFault, which unwinds the stage being
@@ -86,14 +88,14 @@ func (p *Pool) SetFaultHooks(h *FaultHooks) {
 	p.mu.Unlock()
 }
 
-// SnapshotErr is TakeSnapshot with the harness fault paths applied: on a
-// file-backed pool it first persists the dirty pages (a failure-point
-// snapshot is a persist boundary), then consults the image-copy fault
-// hook; it returns a *HarnessFault instead of an image when either step
-// fails. A persist failure stashed by SFence (which has no error path)
-// surfaces here, riding the frontend's retry-once-then-quarantine
-// handling exactly like an image-copy fault.
-func (p *Pool) SnapshotErr() (*Snapshot, error) {
+// SnapshotErr is TakeSnapshot at failure point fp with the harness fault
+// paths applied: on a file-backed pool it first persists the dirty pages
+// (a failure-point snapshot is a persist boundary), then consults the
+// image-copy fault hook with fp; it returns a *HarnessFault instead of an
+// image when either step fails. A persist failure stashed by SFence (which
+// has no error path) surfaces here, riding the frontend's
+// retry-once-then-quarantine handling exactly like an image-copy fault.
+func (p *Pool) SnapshotErr(fp int) (*Snapshot, error) {
 	p.mu.Lock()
 	h := p.faults
 	if p.file != nil {
@@ -104,7 +106,7 @@ func (p *Pool) SnapshotErr() (*Snapshot, error) {
 	}
 	p.mu.Unlock()
 	if h != nil && h.Snapshot != nil {
-		if err := h.Snapshot(); err != nil {
+		if err := h.Snapshot(fp); err != nil {
 			return nil, &HarnessFault{Op: "image-copy", Err: err}
 		}
 	}

@@ -16,15 +16,15 @@ func TestSnapshotErrFault(t *testing.T) {
 	p := New("faulty", 128)
 	p.Store64(0, 42)
 
-	img, err := p.SnapshotErr()
+	img, err := p.SnapshotErr(0)
 	if err != nil || !bytes.Equal(img.Bytes(), p.Bytes()) {
 		t.Fatalf("fault-free SnapshotErr: img mismatch or err %v", err)
 	}
 
 	cause := errors.New("no memory for image copy")
-	calls := 0
-	p.SetFaultHooks(&FaultHooks{Snapshot: func() error { calls++; return cause }})
-	if _, err := p.SnapshotErr(); err == nil {
+	var calls []int
+	p.SetFaultHooks(&FaultHooks{Snapshot: func(fp int) error { calls = append(calls, fp); return cause }})
+	if _, err := p.SnapshotErr(3); err == nil {
 		t.Fatal("expected injected snapshot fault")
 	} else {
 		var hf *HarnessFault
@@ -32,12 +32,12 @@ func TestSnapshotErrFault(t *testing.T) {
 			t.Fatalf("fault not classified as image-copy HarnessFault: %v", err)
 		}
 	}
-	if calls != 1 {
-		t.Fatalf("snapshot hook calls = %d, want 1", calls)
+	if len(calls) != 1 || calls[0] != 3 {
+		t.Fatalf("snapshot hook calls = %v, want one for failure point 3", calls)
 	}
 
 	p.SetFaultHooks(nil)
-	if _, err := p.SnapshotErr(); err != nil {
+	if _, err := p.SnapshotErr(0); err != nil {
 		t.Fatalf("cleared hooks still fault: %v", err)
 	}
 }

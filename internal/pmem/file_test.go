@@ -232,13 +232,13 @@ func TestFileBackedDiskFaultClasses(t *testing.T) {
 			// N+1); attempt 3 succeeds — mirroring the frontend's
 			// retry-once-then-quarantine, which would quarantine after 2.
 			for attempt := 0; attempt < 2; attempt++ {
-				_, err := p.SnapshotErr()
+				_, err := p.SnapshotErr(0)
 				var hf *HarnessFault
 				if !errors.As(err, &hf) || hf.Op != tc.op {
 					t.Fatalf("attempt %d: err = %v, want HarnessFault op %q", attempt, err, tc.op)
 				}
 			}
-			if _, err := p.SnapshotErr(); err != nil {
+			if _, err := p.SnapshotErr(0); err != nil {
 				t.Fatalf("post-fault snapshot still failing: %v", err)
 			}
 			onDisk, err := os.ReadFile(path)
@@ -279,10 +279,10 @@ func TestFileBackedShortMsyncPrefix(t *testing.T) {
 
 	// The tail page is still dirty: the stashed fault surfaces, then the
 	// retry completes it.
-	if _, err := p.SnapshotErr(); err == nil {
+	if _, err := p.SnapshotErr(0); err == nil {
 		t.Fatal("stashed short-msync fault never surfaced")
 	}
-	if _, err := p.SnapshotErr(); err != nil {
+	if _, err := p.SnapshotErr(0); err != nil {
 		t.Fatal(err)
 	}
 	onDisk, _ = os.ReadFile(path)
@@ -301,7 +301,7 @@ func TestShortMsyncMutantLosesTailSilently(t *testing.T) {
 	p := mustFileBacked(t, path, PageSize, false, nil)
 	p.Memset(0, 0xCD, 512)
 	p.SFence()
-	if _, err := p.SnapshotErr(); err != nil {
+	if _, err := p.SnapshotErr(0); err != nil {
 		t.Fatalf("the mutant must be silent, got %v", err)
 	}
 	onDisk, _ := os.ReadFile(path)

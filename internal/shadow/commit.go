@@ -46,11 +46,8 @@ func (s *PM) registerCommitVar(addr, size uint64) int {
 			return i
 		}
 	}
-	// New geometry makes the covered bytes' classification address-
-	// dependent; compacted slots under it must stop sharing a singleton
-	// (compact.go), and cached page hashes over it go stale — fpSymbol
+	// Cached line and page hashes over new geometry go stale: fpSymbol
 	// buckets 1 and 7 read the geometry.
-	s.rehydrateCold(addr, size)
 	s.invalidateRangeFP(addr, size)
 	s.commitVars = append(s.commitVars, &commitVar{addr: addr, size: size})
 	return len(s.commitVars) - 1
@@ -63,7 +60,6 @@ func (s *PM) registerCommitRange(varAddr, varSize, addr, size uint64) {
 			return
 		}
 	}
-	s.rehydrateCold(addr, size)
 	s.invalidateRangeFP(addr, size)
 	s.assocs = append(s.assocs, assoc{varIdx: idx, addr: addr, size: size})
 }

@@ -15,12 +15,11 @@ package shadow
 // touch, and an allocation bitmap (PM.slots) lets a fingerprint visit only
 // allocated slots.
 //
-// Pages are reference-counted, so a page can be shared: cold-page
-// compaction (compact.go) maps persisted pages to shared singletons, and a
-// copy-on-write fork of the canonical shadow (Fork) shares every page with
-// its parent, whichever side writes first privatizing it (writablePage).
-// Detection does not fork — each sibling of a parallel run owns its
-// shadow — but perfbench times Fork as a shadow layer. The thread
+// Pages are reference-counted so that a copy-on-write fork (Fork) can
+// share every page with the canonical shadow, whichever side writes first
+// privatizing it (writablePage); nothing else shares a page. Detection
+// does not fork — each sibling of a parallel run owns its shadow — but
+// perfbench times Fork as a shadow layer. The thread
 // advancing the canonical shadow is its only writer and each fork is
 // written only by the goroutine that owns it, so the only cross-thread
 // traffic on a shared page is the refcount, which is manipulated
@@ -132,17 +131,9 @@ func (s *PM) dropPageRef(pg *page) {
 	}
 }
 
-// adoptPageRef takes one more reference on an already-live page (a cold
-// singleton gaining a slot, compact.go). No accounting: the page's
-// footprint was counted at allocation and shrinks only when the last
-// reference drops.
-func adoptPageRef(pg *page) { atomic.AddInt32(&pg.refs, 1) }
-
 // writablePage returns the page at index pi ready for mutation: allocated
 // if the slab was never touched, privatized (cloned) if it is shared with
-// a fork. The stale-fork mutation switch (mutation.go) deliberately skips
-// the privatization so the differential suite can prove it would catch a
-// broken COW contract.
+// a fork.
 func (s *PM) writablePage(pi int) *page {
 	pg := s.pages[pi]
 	if pg == nil {

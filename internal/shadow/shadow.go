@@ -143,14 +143,6 @@ type PM struct {
 	// the per-byte scratch lives in the pages.
 	postGen uint32
 
-	// Cold-page compaction (compact.go): compactCold gates it, cold maps
-	// each uniform-metadata class to its shared singleton page, coldSlots
-	// remembers which slots were compacted (for rehydration). Canonical
-	// shadows only; forks never compact.
-	compactCold bool
-	cold        map[coldKey]*page
-	coldSlots   map[int]*page
-
 	// stats is the run-wide shadow memory accounting, shared with forks.
 	stats *Stats
 }
@@ -443,12 +435,6 @@ func (s *PM) flushLines(start, limit uint64) (useful bool) {
 }
 
 func (s *PM) applyFence() {
-	var cands []int
-	if s.compactCold && s.txDepth == 0 {
-		// Pages whose lines persist at this fence are the only new
-		// cold-page candidates; collect them before the map is cleared.
-		cands = s.compactCandidates()
-	}
 	for line, full := range s.pendingLines {
 		lineEnd := line + pmem.CacheLineSize
 		if lineEnd > s.size {
@@ -488,9 +474,6 @@ func (s *PM) applyFence() {
 	clear(s.pendingLines)
 	s.noteCommitPersists()
 	s.clock++
-	if len(cands) > 0 {
-		s.compactColdPages(cands)
-	}
 }
 
 func (s *PM) applyTxAdd(addr, size uint64, ip string, explicit bool) {

@@ -20,12 +20,8 @@ package shadow
 //
 // Post-failure scratch (postWritten/checked/postGen) is deliberately not
 // serialized: it is zero on the recording run, whose post stage never
-// executes, and every post-failure check runs on a Fork whose scratch
-// starts from a fresh generation anyway. Cold-page compaction state
-// (compact.go) is likewise not serialized: the recording pool is
-// memory-backed, so compaction is never active while recording, and a
-// replaying shard that re-enables it simply starts with empty cold maps —
-// compaction is fingerprint-transparent either way.
+// executes, and every post-failure check starts a fresh generation
+// (BeginPostCheck), to which zeroed scratch reads as stale.
 
 import (
 	"bufio"
