@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/pmemgo/xfdetector/internal/vcache"
 )
@@ -153,6 +154,32 @@ func TestVerdictCacheKeysPostTimeout(t *testing.T) {
 	}
 	if post := extract(t, postRunsRe, out); post != 0 {
 		t.Errorf("warm run under the cold run's deadline still post-ran %d failure points:\n%s", post, out)
+	}
+}
+
+// TestProgramIdentityPostTimeout: without a post-run deadline the verdict
+// identity is the one computed before deadlines joined it, so cache files
+// filled by such runs keep their hits; each positive deadline gets its own
+// identity, and the -record artifact identity (which passes 0) ignores it.
+func TestProgramIdentityPostTimeout(t *testing.T) {
+	id := func(timeout time.Duration) uint64 {
+		return programIdentity("btree", "btree-write-after-commit", "detect", 3, 10, 0, 1, 0, 8, 0, timeout)
+	}
+	legacy := vcache.Identity("workload=btree", "patch=btree-write-after-commit", "mode=detect",
+		"init=3", "test=10", "updates=0", "update-rounds=1", "removes=0", "pool-mb=8", "max-failure-points=0")
+	if got := id(0); got != legacy {
+		t.Errorf("identity without a deadline = %016x, want the deadline-free identity %016x", got, legacy)
+	}
+	seen := map[uint64]time.Duration{legacy: 0}
+	for _, d := range []time.Duration{time.Nanosecond, time.Second, 10 * time.Second} {
+		got := id(d)
+		if prev, dup := seen[got]; dup {
+			t.Errorf("-post-timeout %v shares identity %016x with -post-timeout %v", d, got, prev)
+		}
+		seen[got] = d
+		if id(d) != got {
+			t.Errorf("-post-timeout %v: identity is not deterministic", d)
+		}
 	}
 }
 

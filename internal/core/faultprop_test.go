@@ -3,6 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -79,6 +82,47 @@ func TestFaultHooksPropagation(t *testing.T) {
 				t.Errorf("harness faults must never become bug reports:\n%s", res)
 			}
 			checkBuckets(t, res)
+		})
+	}
+}
+
+// TestSnapshotHookSeesFailurePoint: the image-copy hook is consulted once
+// per post-run failure point, with that point's index — the key the
+// quarantine tests fault on — and sibling shards consult it for exactly
+// the points a sequential run does.
+func TestSnapshotHookSeesFailurePoint(t *testing.T) {
+	var sequential []int
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var mu sync.Mutex
+			seen := map[int]int{}
+			hooks := &pmem.FaultHooks{Snapshot: func(fp int) error {
+				mu.Lock()
+				seen[fp]++
+				mu.Unlock()
+				return nil
+			}}
+			res, err := Run(Config{Workers: workers, DisablePerfBugs: true, FaultHooks: hooks},
+				spinMultiFPTarget("snapshot-failure-point"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seen) != res.PostRuns || res.PostRuns < 2 {
+				t.Fatalf("hook saw %d failure points, want one per post-run (%d, at least 2):\n%s", len(seen), res.PostRuns, res)
+			}
+			var fps []int
+			for fp, n := range seen {
+				if n != 1 || fp < 0 || fp >= res.FailurePoints {
+					t.Errorf("failure point %d consulted %d times (of %d points)", fp, n, res.FailurePoints)
+				}
+				fps = append(fps, fp)
+			}
+			sort.Ints(fps)
+			if workers == 1 {
+				sequential = fps
+			} else if !slices.Equal(fps, sequential) {
+				t.Errorf("siblings consulted failure points %v, sequential run %v", fps, sequential)
+			}
 		})
 	}
 }

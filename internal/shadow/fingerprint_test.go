@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"github.com/pmemgo/xfdetector/internal/trace"
 )
 
 // fpTestPool spans three full pages plus a partial fourth, so ranges
@@ -207,4 +209,59 @@ func TestFingerprintCacheWithConcurrentForkReaders(t *testing.T) {
 	if got, want := sp.CrashFingerprint(), refFingerprint(sp); got != want {
 		t.Fatalf("canonical cached fingerprint %016x, recompute %016x", got, want)
 	}
+}
+
+// persistPages writes, flushes and fences pages [0, n) whole, then takes a
+// fingerprint, so every line and page hash of them is cached.
+func persistPages(t *testing.T, s *PM, n int) {
+	t.Helper()
+	for pg := 0; pg < n; pg++ {
+		base := uint64(pg) << pageShift
+		apply(s, trace.Write, base, pageBytes)
+		apply(s, trace.CLWB, base, pageBytes)
+	}
+	apply(s, trace.SFence, 0, 0)
+	requireFreshFingerprint(t, s, "after persisting the pages")
+}
+
+// requireFreshFingerprint requires the cached fingerprint to equal a
+// from-scratch recompute.
+func requireFreshFingerprint(t *testing.T, s *PM, when string) {
+	t.Helper()
+	if got, want := s.CrashFingerprint(), refFingerprint(s); got != want {
+		t.Fatalf("%s: cached fingerprint %016x, recompute %016x", when, got, want)
+	}
+}
+
+// TestLateCommitVarInvalidatesLineHashes: registering a commit variable
+// over bytes whose line hashes are already cached turns them into commit
+// variable bytes (fpSymbol bucket 1) without any store to them, so the
+// registration itself must invalidate the cached hashes.
+func TestLateCommitVarInvalidatesLineHashes(t *testing.T) {
+	s := NewPM(4 << pageShift)
+	persistPages(t, s, 4)
+	s.Apply(trace.Entry{Kind: trace.RegCommitVar, Addr: 3*pageBytes + 8, Size: 8})
+	requireFreshFingerprint(t, s, "after registering the commit variable")
+}
+
+// TestLateCommitRangeInvalidatesLineHashes: associating bytes that
+// persisted after their commit variable's last write makes them
+// semantically inconsistent (fpSymbol bucket 7) without any store to them,
+// so the association itself must invalidate their cached hashes.
+func TestLateCommitRangeInvalidatesLineHashes(t *testing.T) {
+	s := NewPM(4 << pageShift)
+	persistPages(t, s, 4)
+	const cvAddr = 3*pageBytes + 8
+	s.Apply(trace.Entry{Kind: trace.RegCommitVar, Addr: cvAddr, Size: 8})
+	apply(s, trace.Write, cvAddr, 8)
+	apply(s, trace.CLWB, cvAddr, 8)
+	apply(s, trace.SFence, 0, 0)
+	// The guarded data persists after the commit write that should have
+	// followed it, then joins the variable's associated set.
+	apply(s, trace.Write, pageBytes, 128)
+	apply(s, trace.CLWB, pageBytes, 128)
+	apply(s, trace.SFence, 0, 0)
+	requireFreshFingerprint(t, s, "before the association")
+	s.Apply(trace.Entry{Kind: trace.RegCommitRange, Addr: cvAddr, Size: 8, Addr2: pageBytes, Size2: 128})
+	requireFreshFingerprint(t, s, "after associating the range")
 }
