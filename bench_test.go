@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	xfd "github.com/pmemgo/xfdetector"
 	"github.com/pmemgo/xfdetector/internal/bench"
@@ -478,6 +479,44 @@ func BenchmarkShadowApply(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCrashFingerprint measures crash-state fingerprinting on the
+// update loop of perfbench's update_loop (B-Tree -init 2 -test 1 -updates 2
+// -update-rounds 1000 -removes 0): each op replays the campaign's kept
+// pre-failure trace, recorded once in setup, into a fresh shadow and
+// fingerprints it at each of its 8,017 failure-point markers. fingerprint-s/op
+// is the time inside CrashFingerprint; the rest of ns/op is shadow apply.
+func BenchmarkCrashFingerprint(b *testing.B) {
+	m, _ := workloads.MakerFor("B-Tree")
+	res, err := core.Run(core.Config{PoolSize: bench.DefaultPoolSize, KeepTrace: true},
+		workloads.DetectionTarget(m, workloads.TargetConfig{
+			InitSize: 2, TestSize: 1, Updates: 2, UpdateRounds: 1000, PostOps: true,
+		}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries := res.PreTrace().Entries()
+	var fprint time.Duration
+	fps := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh := shadow.NewPM(bench.DefaultPoolSize)
+		for _, e := range entries {
+			sh.Apply(e)
+			if e.Kind == trace.FailurePoint && e.Stage == trace.PreFailure {
+				start := time.Now()
+				fingerprintSink ^= sh.CrashFingerprint()
+				fprint += time.Since(start)
+				fps++
+			}
+		}
+	}
+	b.ReportMetric(fprint.Seconds()/float64(b.N), "fingerprint-s/op")
+	b.ReportMetric(float64(fps)/float64(b.N), "failpoints/op")
+}
+
+// fingerprintSink keeps BenchmarkCrashFingerprint's results live.
+var fingerprintSink uint64
 
 // BenchmarkPmobjTx measures a minimal transaction on the PMDK-like
 // substrate (alloc + add + store + commit), without detection.

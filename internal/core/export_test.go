@@ -9,3 +9,6 @@ func SiblingOwnsClass(fpr uint64, n, i, w, j int) bool {
 	r := &runner{cfg: Config{ShardCount: n, ShardIndex: i}, sibling: j, siblings: w}
 	return r.classOwner(fpr) == ownedHere
 }
+
+// ReportID returns the identity the report set deduplicates r by.
+func ReportID(r Report) any { return r.id() }

@@ -13,7 +13,7 @@ import (
 func sortedKeys(res *Result) []string {
 	var keys []string
 	for _, r := range res.Reports {
-		keys = append(keys, r.key())
+		keys = append(keys, r.DedupKey())
 	}
 	sort.Strings(keys)
 	return keys

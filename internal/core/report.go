@@ -89,7 +89,18 @@ func (r Report) DedupKey() string {
 	return fmt.Sprintf("%d|%s|%s|%d|%s", r.Class, r.ReaderIP, r.WriterIP, r.PerfKind, r.Message)
 }
 
-func (r Report) key() string { return r.DedupKey() }
+// reportID holds exactly DedupKey's fields as a comparable value: the
+// report set deduplicates by it without rendering a key for every finding.
+type reportID struct {
+	class          BugClass
+	reader, writer string
+	perf           shadow.PerfBugKind
+	message        string
+}
+
+func (r Report) id() reportID {
+	return reportID{r.Class, r.ReaderIP, r.WriterIP, r.PerfKind, r.Message}
+}
 
 // String formats the report the way the artifact's debug output does.
 func (r Report) String() string {
@@ -120,18 +131,18 @@ func orUnknown(ip string) string {
 // and a timed post-run adds from its own goroutine.
 type reportSet struct {
 	mu      sync.Mutex
-	seen    map[string]struct{}
+	seen    map[reportID]struct{}
 	reports []Report
 }
 
 func newReportSet() *reportSet {
-	return &reportSet{seen: make(map[string]struct{})}
+	return &reportSet{seen: make(map[reportID]struct{})}
 }
 
 // add inserts r unless an equivalent report exists; it reports whether r
 // was new.
 func (s *reportSet) add(r Report) bool {
-	k := r.key()
+	k := r.id()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.seen[k]; ok {

@@ -164,3 +164,164 @@ func TestCallerIPMatchesFullWalk(t *testing.T) {
 		t.Errorf("deepest probed chain has %d in-package frames, want at least 4", deepest)
 	}
 }
+
+// refResolvePC is the reference for one PC's cache entry: a fresh
+// CallersFrames expansion with the capture walk's filter, consulting
+// neither ipTable nor ipCache.
+func refResolvePC(pc uintptr) ipCacheEntry {
+	frames := runtime.CallersFrames([]uintptr{pc})
+	for {
+		f, more := frames.Next()
+		if f.File == "" {
+			return ipCacheEntry{done: true}
+		}
+		if f.File != "<autogenerated>" &&
+			(!strings.Contains(f.File, "internal/pmem/") || strings.HasSuffix(f.File, "_test.go")) {
+			return ipCacheEntry{loc: shortFile(f.File) + ":" + strconv.Itoa(f.Line), done: true}
+		}
+		if !more {
+			return ipCacheEntry{}
+		}
+	}
+}
+
+// TestIPTableCollidingPCs: two PCs that share an ipTable slot, resolved
+// alternately, each evict the other and still each resolve to their own
+// reference entry.
+func TestIPTableCollidingPCs(t *testing.T) {
+	var pcs [1]uintptr
+	runtime.Callers(1, pcs[:])
+	a := pcs[0]
+	refA := refResolvePC(a)
+	if refA.loc == "" || !strings.HasPrefix(refA.loc, "pmem/ipcache_test.go:") {
+		t.Fatalf("reference entry for this test's own PC = %+v, want a line in this file", refA)
+	}
+	var b uintptr
+	var refB ipCacheEntry
+	for pc := a + 1; pc < a+1<<16; pc++ {
+		if ipSlotIndex(pc) == ipSlotIndex(a) {
+			if ref := refResolvePC(pc); ref != refA {
+				b, refB = pc, ref
+				break
+			}
+		}
+	}
+	if b == 0 {
+		t.Fatalf("no PC within 64 KiB above %#x shares its slot and resolves differently", a)
+	}
+	slot := &ipTable[ipSlotIndex(a)]
+	for i := 0; i < 4; i++ {
+		for _, c := range []struct {
+			pc  uintptr
+			ref ipCacheEntry
+		}{{a, refA}, {b, refB}} {
+			if got := resolvePC(c.pc); got != c.ref {
+				t.Fatalf("round %d: resolvePC(%#x) = %+v, want %+v", i, c.pc, got, c.ref)
+			}
+			if s := slot.Load(); s == nil || s.pc != c.pc {
+				t.Fatalf("round %d: slot does not hold %#x after resolving it", i, c.pc)
+			}
+		}
+	}
+}
+
+// ipCount is a sink that counts delivered entries whose IP differs from
+// want.
+type ipCount struct {
+	want     string
+	n, wrong int
+	first    string
+}
+
+func (c *ipCount) Record(e trace.Entry) {
+	c.n++
+	if e.IP != c.want {
+		if c.wrong == 0 {
+			c.first = e.IP
+		}
+		c.wrong++
+	}
+}
+
+// storeAtSite stores through one of eight distinct call sites.
+//
+//go:noinline
+func storeAtSite(p *Pool, site int) {
+	switch site {
+	case 0:
+		p.Store64(0, 1)
+	case 1:
+		p.Store64(8, 1)
+	case 2:
+		p.Store64(16, 1)
+	case 3:
+		p.Store64(24, 1)
+	case 4:
+		p.Store64(32, 1)
+	case 5:
+		p.Store64(40, 1)
+	case 6:
+		p.Store64(48, 1)
+	case 7:
+		p.Store64(56, 1)
+	}
+}
+
+// TestIPTableConcurrentCaptures: eight goroutines, each on its own pool,
+// capture 10,000 store IPs through distinct call sites at once, sharing
+// ipTable and ipCache; every captured IP equals the reference walk's for
+// its site. The captures run in ten rounds that each start together on an
+// empty table, so the goroutines publish into it concurrently instead of
+// only reading what earlier captures published; under -race this proves
+// the publication race-clean.
+func TestIPTableConcurrentCaptures(t *testing.T) {
+	const sites, rounds, perRound = 8, 10, 1000
+	want := make([]string, sites)
+	for site := range want {
+		p := New("probe", 4096)
+		probe := &ipProbe{}
+		p.SetSink(probe)
+		storeAtSite(p, site)
+		if len(probe.got) != 1 || probe.got[0].captured != probe.got[0].reference {
+			t.Fatalf("site %d: probe = %+v, want one capture equal to the reference walk", site, probe.got)
+		}
+		want[site] = probe.got[0].reference
+		for _, w := range want[:site] {
+			if w == want[site] {
+				t.Fatalf("site %d shares its reference IP %q with another site", site, w)
+			}
+		}
+	}
+	counts := make([]*ipCount, sites)
+	pools := make([]*Pool, sites)
+	for site := range counts {
+		counts[site] = &ipCount{want: want[site]}
+		pools[site] = New("concurrent", 4096)
+		pools[site].SetSink(counts[site])
+	}
+	done := make(chan struct{})
+	for r := 0; r < rounds; r++ {
+		for i := range ipTable {
+			ipTable[i].Store(nil)
+		}
+		start := make(chan struct{})
+		for site, p := range pools {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				<-start
+				for i := 0; i < perRound; i++ {
+					storeAtSite(p, site)
+				}
+			}()
+		}
+		close(start)
+		for range pools {
+			<-done
+		}
+	}
+	for site, c := range counts {
+		if c.n != rounds*perRound || c.wrong != 0 {
+			t.Errorf("site %d: %d of %d captures differ from %q (first %q)", site, c.wrong, c.n, c.want, c.first)
+		}
+	}
+}

@@ -90,6 +90,24 @@ func (s *PM) assocFor(addr uint64) *commitVar {
 	return nil
 }
 
+// geometryOverlaps reports whether any registered commit variable or
+// associated range overlaps [lo, hi). It answers true whenever
+// isCommitVarByte or assocFor would find a range for some byte of it; an
+// empty range may also count, which costs only the per-byte lookups.
+func (s *PM) geometryOverlaps(lo, hi uint64) bool {
+	for _, cv := range s.commitVars {
+		if cv.addr < hi && lo < cv.addr+cv.size {
+			return true
+		}
+	}
+	for _, a := range s.assocs {
+		if a.addr < hi && lo < a.addr+a.size {
+			return true
+		}
+	}
+	return false
+}
+
 // noteCommitWrites records commit writes for every registered variable the
 // just-applied store overlaps.
 func (s *PM) noteCommitWrites(addr, end uint64) {

@@ -35,7 +35,8 @@ package shadow
 // (which addresses are commit variables or associated with one) is folded
 // into the final fingerprint directly; registrations additionally
 // invalidate the lines their ranges overlap, since the per-byte symbols
-// under new geometry change bucket.
+// under new geometry change bucket. A re-hashed line tests the geometry
+// once: only a line some range overlaps looks it up per byte.
 //
 // The cache belongs to the thread advancing the canonical shadow. Forks
 // share its pages but neither read nor maintain the cache fields, so they
@@ -96,7 +97,9 @@ const collidingPageHash = 0x9e3779b97f4a7c15
 // mirroring PostChecker.classify's decision order exactly. The writer index
 // is folded in because report identity (DedupKey) depends on the writer
 // location: two states that classify alike but blame different writers must
-// not share a class.
+// not share a class. The buckets that read commit geometry (a commit
+// variable byte, an Eq. 3 association) are decided here; every other byte
+// takes plainSymbol's bucket.
 func (s *PM) fpSymbol(b uint64, st PersistState, we uint32, pe uint32, txSafe bool, w uint32) uint64 {
 	if we == 0 {
 		return 0
@@ -104,25 +107,43 @@ func (s *PM) fpSymbol(b uint64, st PersistState, we uint32, pe uint32, txSafe bo
 	if s.isCommitVarByte(b) {
 		return 1<<32 | uint64(w)
 	}
+	if !txSafe && st == Persisted {
+		if cv := s.assocFor(b); cv != nil && !semanticallyConsistent(cv, we, pe) {
+			return 7<<32 | uint64(w)
+		}
+	}
+	return plainSymbol(st, we, txSafe, w)
+}
+
+// plainSymbol is the symbol of a byte no commit geometry covers:
+// never written → 0, tx-protected → 2, and otherwise 3 + its persistence
+// state, so Modified → 4, WritebackPending → 5 and Persisted (consistent)
+// → 6.
+func plainSymbol(st PersistState, we uint32, txSafe bool, w uint32) uint64 {
+	if we == 0 {
+		return 0
+	}
 	if txSafe {
 		return 2<<32 | uint64(w)
 	}
-	if st != Persisted {
-		// Modified → 4, WritebackPending → 5.
-		return (3+uint64(st))<<32 | uint64(w)
-	}
-	if cv := s.assocFor(b); cv != nil && !semanticallyConsistent(cv, we, pe) {
-		return 7<<32 | uint64(w)
-	}
-	return 6<<32 | uint64(w)
+	return (3+uint64(st))<<32 | uint64(w)
 }
 
 // lineHash folds the symbols of the line starting at address base, whose
-// metadata the slices hold.
+// metadata the slices hold. Commit geometry is tested once for the whole
+// line: only a line some commit variable or associated range overlaps
+// takes fpSymbol's per-byte geometry lookups.
 func (s *PM) lineHash(base uint64, st []PersistState, we, pe []uint32, txSafe []bool, w []uint32) uint64 {
+	st, we, pe, txSafe, w = st[:lineBytes], we[:lineBytes], pe[:lineBytes], txSafe[:lineBytes], w[:lineBytes]
 	h := uint64(fnvOffset)
-	for i := range st {
-		h = fnvMix(h, s.fpSymbol(base+uint64(i), st[i], we[i], pe[i], txSafe[i], w[i]))
+	if s.geometryOverlaps(base, base+lineBytes) {
+		for i := 0; i < lineBytes; i++ {
+			h = fnvMix(h, s.fpSymbol(base+uint64(i), st[i], we[i], pe[i], txSafe[i], w[i]))
+		}
+		return h
+	}
+	for i := 0; i < lineBytes; i++ {
+		h = fnvMix(h, plainSymbol(st[i], we[i], txSafe[i], w[i]))
 	}
 	return h
 }
