@@ -518,6 +518,30 @@ func BenchmarkCrashFingerprint(b *testing.B) {
 // fingerprintSink keeps BenchmarkCrashFingerprint's results live.
 var fingerprintSink uint64
 
+// BenchmarkPostFailureC measures the post-failure layer on C, the faulty
+// B-Tree campaign fleet_insert shards (`-init 3 -test 80 -patch
+// btree-skip-add-leaf`, 4 MiB pool, one worker): each op runs the whole
+// campaign in-process, and post-s/op is its Result.PostSeconds — the
+// tested program's recovery and the read check at its 652 representative
+// failure points.
+func BenchmarkPostFailureC(b *testing.B) {
+	m, _ := workloads.MakerFor("B-Tree")
+	target := workloads.DetectionTarget(m, workloads.TargetConfig{
+		InitSize: 3, TestSize: 80, Updates: 1, Removes: 1, PostOps: true,
+		Fault: "btree-skip-add-leaf", FaultInCreate: true,
+	})
+	post := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.Run(core.Config{PoolSize: bench.DefaultPoolSize, Workers: 1}, target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		post += res.PostSeconds
+	}
+	b.ReportMetric(post/float64(b.N), "post-s/op")
+}
+
 // BenchmarkPmobjTx measures a minimal transaction on the PMDK-like
 // substrate (alloc + add + store + commit), without detection.
 func BenchmarkPmobjTx(b *testing.B) {

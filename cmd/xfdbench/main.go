@@ -35,7 +35,6 @@ import (
 	"os"
 
 	"github.com/pmemgo/xfdetector/internal/bench"
-	"github.com/pmemgo/xfdetector/internal/workloads"
 )
 
 func main() {
@@ -105,7 +104,7 @@ func main() {
 		"fig12b":   bench.WriteFig12b,
 		"fig13":    bench.WriteFig13,
 		"table1":   bench.WriteTable1,
-		"table4":   writeTable4,
+		"table4":   bench.WriteTable4,
 		"table5":   bench.WriteTable5,
 		"coverage": bench.WriteCoverage,
 		"newbugs":  bench.NewBugsReport,
@@ -127,28 +126,6 @@ func main() {
 	if err := fn(out); err != nil {
 		fatalf("%s: %v", *experiment, err)
 	}
-}
-
-// writeTable4 lists the evaluated programs with their seeded-bug counts
-// (the LOC columns of the paper's Table 4 are specific to the C sources;
-// here the suite composition identifies the workloads).
-func writeTable4(w io.Writer) error {
-	fmt.Fprintln(w, "Table 4 — the evaluated PM programs")
-	fmt.Fprintf(w, "%-16s %-14s %s\n", "name", "type", "seeded bugs (Table 5 suite)")
-	for _, row := range bench.Table4() {
-		n := len(workloads.FaultsFor(row.Name))
-		extra := ""
-		switch row.Name {
-		case "Redis":
-			extra = "1 (the paper's Bug 3)"
-		case "Memcached":
-			extra = "0"
-		default:
-			extra = fmt.Sprintf("%d", n)
-		}
-		fmt.Fprintf(w, "%-16s %-14s %s\n", row.Name, row.Type, extra)
-	}
-	return nil
 }
 
 // readBaseline loads one -compare operand.

@@ -32,7 +32,7 @@ const (
 func (po *Pool) findFree(n uint64) (uint64, error) {
 	run := uint64(0)
 	for i := uint64(0); i < po.nblocks; i++ {
-		if po.free[i] {
+		if po.used[i] == 0 {
 			run++
 			if run == n {
 				return i - n + 1, nil
@@ -53,7 +53,7 @@ func (po *Pool) markBlocks(idx, n uint64, used bool) {
 	}
 	for b := idx; b < idx+n; b++ {
 		po.p.Store8(po.blkmap+b, v)
-		po.free[b] = !used
+		po.used[b] = v
 	}
 }
 

@@ -24,6 +24,7 @@
 package pmobj
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -133,8 +134,8 @@ type Pool struct {
 	blkmap   uint64
 	nblocks  uint64
 
-	// free is the volatile mirror of the block map.
-	free []bool
+	// used is the volatile view of the block map: its bytes, 0 = free.
+	used []byte
 
 	tx *Tx
 }
@@ -182,10 +183,7 @@ func Create(p *pmem.Pool, rootSize uint64, opts *Options) (*Pool, error) {
 		txLogLen: o.TxLogSize,
 		blkmap:   blkmapOff,
 		nblocks:  nblocks,
-		free:     make([]bool, nblocks),
-	}
-	for i := range po.free {
-		po.free[i] = true
+		used:     make([]byte, nblocks),
 	}
 
 	done := po.lib()
@@ -227,7 +225,7 @@ func Create(p *pmem.Pool, rootSize uint64, opts *Options) (*Pool, error) {
 	// Mark the root's blocks used and lay down its size header.
 	for b := uint64(0); b < rootBlocks; b++ {
 		p.Store8(blkmapOff+b, 1)
-		po.free[b] = false
+		po.used[b] = 1
 	}
 	p.Store64(heapOff, rootSize)
 	p.Memset(rootOff, 0, rootSize)
@@ -307,13 +305,9 @@ func Open(p *pmem.Pool) (*Pool, error) {
 		return nil, err
 	}
 
-	// Rebuild the volatile free map from the (now consistent) block map.
-	po.free = make([]bool, po.nblocks)
-	m := make([]byte, po.nblocks)
-	po.p.Load(po.blkmap, m)
-	for i, b := range m {
-		po.free[i] = b == 0
-	}
+	// The volatile view is the (now consistent) block map itself.
+	po.used = make([]byte, po.nblocks)
+	po.p.Load(po.blkmap, po.used)
 	return po, nil
 }
 
@@ -338,13 +332,7 @@ func (po *Pool) Persist(off, size uint64) { po.p.Persist(off, size) }
 
 // FreeBlocks reports the number of free heap blocks (volatile view).
 func (po *Pool) FreeBlocks() uint64 {
-	n := uint64(0)
-	for _, f := range po.free {
-		if f {
-			n++
-		}
-	}
-	return n
+	return uint64(bytes.Count(po.used, []byte{0}))
 }
 
 func blocksFor(size uint64) uint64 {

@@ -2,11 +2,14 @@ package pmobj
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/pmemgo/xfdetector/internal/pmem"
+	"github.com/pmemgo/xfdetector/internal/trace"
 )
 
 // TestTxAtomicityProperty: whatever a transaction does — adds, writes,
@@ -213,6 +216,160 @@ func TestAllocFreeProperty(t *testing.T) {
 		return po.FreeBlocks() == initialFree
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// blockMapMatches reports where the volatile view of the block map differs
+// from the persistent block map, or nil.
+func blockMapMatches(po *Pool) error {
+	m := make([]byte, po.nblocks)
+	po.p.Peek(po.blkmap, m)
+	if len(po.used) != len(m) {
+		return fmt.Errorf("volatile view has %d blocks, block map %d", len(po.used), len(m))
+	}
+	for i := range m {
+		if po.used[i] != m[i] {
+			return fmt.Errorf("block %d: volatile %d, block map %d", i, po.used[i], m[i])
+		}
+	}
+	return nil
+}
+
+// crashOpener is a pool sink that, at every fence of the traced run — the
+// failure points detection injects — opens a crash image of the pool,
+// recovery included, and checks the opened pool's volatile view.
+type crashOpener struct {
+	p      *pmem.Pool
+	opened int
+	err    error
+}
+
+func (c *crashOpener) Record(e trace.Entry) {
+	if e.Kind != trace.SFence || c.err != nil {
+		return
+	}
+	po, err := Open(pmem.FromImage("crash", c.p.Snapshot()))
+	if err != nil {
+		return // a crash inside Create: no valid pool yet
+	}
+	c.opened++
+	if err := blockMapMatches(po); err != nil {
+		c.err = fmt.Errorf("opened crash image %d: %v", c.opened, err)
+	}
+}
+
+var errAbortForTest = errors.New("abort")
+
+// TestVolatileMapMatchesBlockMap: outside a transaction, the allocator's
+// volatile view equals the persistent block map after Create, after each
+// atomic allocation and free, after each committed and each aborted
+// transaction, and after Open (recovery included) of a crash image taken at
+// every failure point of the run. Inside a transaction the two differ by
+// design: blocks it frees stay used in the view until commit.
+func TestVolatileMapMatchesBlockMap(t *testing.T) {
+	f := func(seed int64, nOps uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		p := pmem.New("prop", 64<<10)
+		crashes := &crashOpener{p: p}
+		p.SetSink(crashes)
+		po, err := Create(p, 64, &Options{TxLogSize: 4 << 10})
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		ok := func(when string) bool {
+			if err := blockMapMatches(po); err != nil {
+				t.Logf("seed %d, %s: %v", seed, when, err)
+				return false
+			}
+			return true
+		}
+		if !ok("after Create") {
+			return false
+		}
+		var live []uint64
+		for i := 0; i < int(nOps%40)+1; i++ {
+			switch r.Intn(3) {
+			case 0:
+				off, err := po.AllocAtomic(uint64(r.Intn(300))+1, nil)
+				if errors.Is(err, ErrOutOfMemory) {
+					continue
+				}
+				if err != nil {
+					t.Log(err)
+					return false
+				}
+				live = append(live, off)
+				if !ok("after AllocAtomic") {
+					return false
+				}
+			case 1:
+				if len(live) == 0 {
+					continue
+				}
+				j := r.Intn(len(live))
+				if err := po.FreeAtomic(live[j]); err != nil {
+					t.Log(err)
+					return false
+				}
+				live = append(live[:j], live[j+1:]...)
+				if !ok("after FreeAtomic") {
+					return false
+				}
+			case 2:
+				abort := r.Intn(3) == 0
+				next := append([]uint64(nil), live...)
+				err := po.Tx(func(tx *Tx) error {
+					for k := r.Intn(4) + 1; k > 0; k-- {
+						switch op := r.Intn(3); {
+						case op == 0:
+							off, err := tx.Alloc(uint64(r.Intn(200)) + 1)
+							if err != nil {
+								return err
+							}
+							next = append(next, off)
+						case op == 1 && len(next) > 0:
+							j := r.Intn(len(next))
+							if err := tx.Free(next[j]); err != nil {
+								return err
+							}
+							next = append(next[:j], next[j+1:]...)
+						default:
+							if err := tx.Add(po.Root(), 8); err != nil {
+								return err
+							}
+							p.Store64(po.Root(), r.Uint64())
+						}
+					}
+					if abort {
+						return errAbortForTest
+					}
+					return nil
+				})
+				switch {
+				case err == nil:
+					live = next
+					if !ok("after a committed Tx") {
+						return false
+					}
+				case errors.Is(err, errAbortForTest), errors.Is(err, ErrOutOfMemory), errors.Is(err, ErrTxLogFull):
+					if !ok("after an aborted Tx") {
+						return false
+					}
+				default:
+					t.Log(err)
+					return false
+				}
+			}
+		}
+		if crashes.err != nil {
+			t.Logf("seed %d: %v", seed, crashes.err)
+			return false
+		}
+		return crashes.opened > 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -44,7 +44,7 @@ type Tx struct {
 	po *Pool
 	// flush accumulates the ranges commit must write back.
 	flush []txRange
-	// freed defers the volatile free-map release to commit so the
+	// freed defers the volatile block-map release to commit so the
 	// transaction cannot reuse (and overwrite) blocks it freed itself.
 	freed []txRange
 	done  bool
@@ -157,7 +157,7 @@ func (tx *Tx) Free(dataOff uint64) error {
 	done := po.lib()
 	for b := idx; b < idx+n; b++ {
 		po.p.Store8(po.blkmap+b, 0)
-		// po.free[b] stays false until commit: the transaction must not
+		// po.used[b] stays 1 until commit: the transaction must not
 		// reuse blocks it freed, or abort could not restore their data.
 	}
 	done()
@@ -223,7 +223,7 @@ func (tx *Tx) Commit() error {
 	}
 	for _, f := range tx.freed {
 		for b := f.off; b < f.off+f.size; b++ {
-			po.free[b] = true
+			po.used[b] = 0
 		}
 	}
 	done()
@@ -327,8 +327,8 @@ func (po *Pool) rollbackLog() {
 			n := blocksFor(e.size)
 			for b := idx; b < idx+n; b++ {
 				p.Store8(po.blkmap+b, 0)
-				if po.free != nil {
-					po.free[b] = true
+				if po.used != nil {
+					po.used[b] = 0
 				}
 			}
 			p.CLWB(po.blkmap+idx, n)
@@ -339,8 +339,8 @@ func (po *Pool) rollbackLog() {
 			}
 			for b := idx; b < idx+n; b++ {
 				p.Store8(po.blkmap+b, 1)
-				if po.free != nil {
-					po.free[b] = false
+				if po.used != nil {
+					po.used[b] = 1
 				}
 			}
 			p.CLWB(po.blkmap+idx, n)

@@ -46,8 +46,8 @@ func (s *PM) registerCommitVar(addr, size uint64) int {
 			return i
 		}
 	}
-	// Cached line and page hashes over new geometry go stale: fpSymbol
-	// buckets 1 and 7 read the geometry.
+	// Cached line and page hashes over new geometry go stale:
+	// bucketCommitVar and bucketSemantic read the geometry.
 	s.invalidateRangeFP(addr, size)
 	s.commitVars = append(s.commitVars, &commitVar{addr: addr, size: size})
 	return len(s.commitVars) - 1
@@ -92,8 +92,8 @@ func (s *PM) assocFor(addr uint64) *commitVar {
 
 // geometryOverlaps reports whether any registered commit variable or
 // associated range overlaps [lo, hi). It answers true whenever
-// isCommitVarByte or assocFor would find a range for some byte of it; an
-// empty range may also count, which costs only the per-byte lookups.
+// isCommitVarByte or assocFor would find a range for some byte of it, so
+// a false answer lets the byte's bucket skip both (plainBucket).
 func (s *PM) geometryOverlaps(lo, hi uint64) bool {
 	for _, cv := range s.commitVars {
 		if cv.addr < hi && lo < cv.addr+cv.size {

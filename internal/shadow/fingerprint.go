@@ -10,16 +10,14 @@ package shadow
 // members (core's pruning layer; Pathfinder/WITCHER-style representative
 // testing).
 //
-// CrashFingerprint therefore hashes, per byte, exactly the inputs of
-// PostChecker.classify collapsed to its *outcome space*: the symbol is the
-// classification bucket the byte would fall into (never-written, benign
-// commit variable, tx-protected, unpersisted race, Eq. 3 semantic bug,
-// consistent) paired with its interned writer index. Raw epochs, data
-// values, the pending-line bookkeeping and the transaction/scratch state
-// are deliberately excluded: they either cannot influence a post-failure
-// verdict or enter it only through the Eq. 3 outcome, which the symbol
-// already encodes. This is what lets long runs of uniform update loops
-// collapse into one class.
+// CrashFingerprint therefore hashes, per byte, the post-failure check's
+// *outcome space*: the symbol is the byte's bucket of the §5.4 order — the
+// one definition PostChecker.OnRead classifies by (postcheck.go) — paired
+// with its interned writer index. Raw epochs, data values, the pending-line
+// bookkeeping and the transaction/scratch state are deliberately excluded:
+// they either cannot influence a post-failure verdict or enter it only
+// through the Eq. 3 outcome, which the bucket already encodes. This is what
+// lets long runs of uniform update loops collapse into one class.
 //
 // The fingerprint has a fixed three-level structure: a 64-byte line hashes
 // its 64 byte symbols, a 4 KiB page hashes its 64 line hashes, and the
@@ -93,57 +91,31 @@ func foldLines(lines *[pageLines]uint64) uint64 {
 // emptyPageHash so allocated pages still differ from untouched ones.
 const collidingPageHash = 0x9e3779b97f4a7c15
 
-// fpSymbol maps one byte's shadow metadata to its classification symbol,
-// mirroring PostChecker.classify's decision order exactly. The writer index
-// is folded in because report identity (DedupKey) depends on the writer
+// symbol is a byte's fingerprint symbol: its bucket of the §5.4 order
+// (postcheck.go) paired with its interned writer index. The writer is
+// folded in because report identity (DedupKey) depends on the writer
 // location: two states that classify alike but blame different writers must
-// not share a class. The buckets that read commit geometry (a commit
-// variable byte, an Eq. 3 association) are decided here; every other byte
-// takes plainSymbol's bucket.
-func (s *PM) fpSymbol(b uint64, st PersistState, we uint32, pe uint32, txSafe bool, w uint32) uint64 {
-	if we == 0 {
-		return 0
-	}
-	if s.isCommitVarByte(b) {
-		return 1<<32 | uint64(w)
-	}
-	if !txSafe && st == Persisted {
-		if cv := s.assocFor(b); cv != nil && !semanticallyConsistent(cv, we, pe) {
-			return 7<<32 | uint64(w)
-		}
-	}
-	return plainSymbol(st, we, txSafe, w)
-}
-
-// plainSymbol is the symbol of a byte no commit geometry covers:
-// never written → 0, tx-protected → 2, and otherwise 3 + its persistence
-// state, so Modified → 4, WritebackPending → 5 and Persisted (consistent)
-// → 6.
-func plainSymbol(st PersistState, we uint32, txSafe bool, w uint32) uint64 {
-	if we == 0 {
-		return 0
-	}
-	if txSafe {
-		return 2<<32 | uint64(w)
-	}
-	return (3+uint64(st))<<32 | uint64(w)
+// not share a class. A never-written byte has writer 0 (stores set its
+// epoch and writer together), so its symbol is 0.
+func symbol(bucket uint8, w uint32) uint64 {
+	return uint64(bucket)<<32 | uint64(w)
 }
 
 // lineHash folds the symbols of the line starting at address base, whose
 // metadata the slices hold. Commit geometry is tested once for the whole
 // line: only a line some commit variable or associated range overlaps
-// takes fpSymbol's per-byte geometry lookups.
+// takes byteBucket's per-byte geometry lookups.
 func (s *PM) lineHash(base uint64, st []PersistState, we, pe []uint32, txSafe []bool, w []uint32) uint64 {
 	st, we, pe, txSafe, w = st[:lineBytes], we[:lineBytes], pe[:lineBytes], txSafe[:lineBytes], w[:lineBytes]
 	h := uint64(fnvOffset)
 	if s.geometryOverlaps(base, base+lineBytes) {
 		for i := 0; i < lineBytes; i++ {
-			h = fnvMix(h, s.fpSymbol(base+uint64(i), st[i], we[i], pe[i], txSafe[i], w[i]))
+			h = fnvMix(h, symbol(s.byteBucket(base+uint64(i), st[i], we[i], pe[i], txSafe[i]), w[i]))
 		}
 		return h
 	}
 	for i := 0; i < lineBytes; i++ {
-		h = fnvMix(h, plainSymbol(st[i], we[i], txSafe[i], w[i]))
+		h = fnvMix(h, symbol(plainBucket(st[i], we[i], txSafe[i]), w[i]))
 	}
 	return h
 }

@@ -23,6 +23,14 @@ func byteMeta(s *PM, b uint64) (PersistState, uint32, uint32, bool, uint32) {
 	return pg.state[i], pg.writeEpoch[i], pg.persistEpoch[i], pg.txSafe[i], pg.writerIdx[i]
 }
 
+// refBucket is byte b's bucket by the per-byte order, with the geometry
+// lookups for every byte, and its writer: the reference for both line
+// paths of lineHash and of OnRead.
+func refBucket(s *PM, b uint64) (uint8, uint32) {
+	st, we, pe, tx, w := byteMeta(s, b)
+	return s.byteBucket(b, st, we, pe, tx), w
+}
+
 // refFingerprint recomputes the crash-state fingerprint from scratch: it
 // reads only per-byte metadata — no line cache, no page hash, no slot
 // bitmap — and folds it with the documented structure (64 symbols per
@@ -39,8 +47,8 @@ func refFingerprint(s *PM) uint64 {
 				b := uint64(pi)<<pageShift + uint64(l*lineBytes+i)
 				var sym uint64
 				if b < s.size {
-					if st, we, pe, tx, w := byteMeta(s, b); we != 0 {
-						sym = s.fpSymbol(b, st, we, pe, tx, w)
+					if bk, w := refBucket(s, b); bk != bucketUnwritten {
+						sym = symbol(bk, w)
 						written = true
 					}
 				}
@@ -235,7 +243,7 @@ func requireFreshFingerprint(t *testing.T, s *PM, when string) {
 
 // TestLateCommitVarInvalidatesLineHashes: registering a commit variable
 // over bytes whose line hashes are already cached turns them into commit
-// variable bytes (fpSymbol bucket 1) without any store to them, so the
+// variable bytes (bucketCommitVar) without any store to them, so the
 // registration itself must invalidate the cached hashes.
 func TestLateCommitVarInvalidatesLineHashes(t *testing.T) {
 	s := NewPM(4 << pageShift)
@@ -246,7 +254,7 @@ func TestLateCommitVarInvalidatesLineHashes(t *testing.T) {
 
 // TestLateCommitRangeInvalidatesLineHashes: associating bytes that
 // persisted after their commit variable's last write makes them
-// semantically inconsistent (fpSymbol bucket 7) without any store to them,
+// semantically inconsistent (bucketSemantic) without any store to them,
 // so the association itself must invalidate their cached hashes.
 func TestLateCommitRangeInvalidatesLineHashes(t *testing.T) {
 	s := NewPM(4 << pageShift)
@@ -264,4 +272,152 @@ func TestLateCommitRangeInvalidatesLineHashes(t *testing.T) {
 	requireFreshFingerprint(t, s, "before the association")
 	s.Apply(trace.Entry{Kind: trace.RegCommitRange, Addr: cvAddr, Size: 8, Addr2: pageBytes, Size2: 128})
 	requireFreshFingerprint(t, s, "after associating the range")
+}
+
+// checkerClass is the class a fresh post-failure check reports for a read
+// of byte b alone.
+func checkerClass(s *PM, b uint64) Class {
+	c := s.BeginPostCheck()
+	f := c.OnRead(b, 1)
+	switch {
+	case len(f) == 1:
+		return f[0].Class
+	case c.Benign == 1:
+		return ClassBenign
+	}
+	return ClassOK
+}
+
+// checkAgreement requires every written byte of s to classify as the
+// bucket the fingerprint folds for it: read alone by a fresh PostChecker,
+// and inside one read of the whole pool, which crosses every line with
+// and without commit geometry.
+func checkAgreement(s *PM) error {
+	want := make([]Class, s.size)
+	benign := uint64(0)
+	for b := uint64(0); b < s.size; b++ {
+		bk, _ := refBucket(s, b)
+		want[b] = bucketClass[bk]
+		if bk == bucketUnwritten {
+			continue
+		}
+		if got := checkerClass(s, b); got != want[b] {
+			return fmt.Errorf("byte %d in bucket %d: OnRead(%d, 1) reports %v, want %v", b, bk, b, got, want[b])
+		}
+		if want[b] == ClassBenign {
+			benign++
+		}
+	}
+	got := make([]Class, s.size)
+	c := s.BeginPostCheck()
+	for _, f := range c.OnRead(0, s.size) {
+		for b := f.Addr; b < f.Addr+f.Size; b++ {
+			got[b] = f.Class
+		}
+	}
+	for b := range got {
+		if w := want[b]; got[b] != w && !(w == ClassBenign && got[b] == ClassOK) {
+			return fmt.Errorf("byte %d: the whole-pool read reports %v, want %v", b, got[b], w)
+		}
+	}
+	if c.Benign != benign {
+		return fmt.Errorf("the whole-pool read counts %d benign bytes, want %d", c.Benign, benign)
+	}
+	return nil
+}
+
+// TestCheckerAgreesWithFingerprint: over the random states randomEntries
+// builds — commit variables, associated ranges, TX_ADDs and fences among
+// them — the post-failure checker classifies every written byte as the
+// bucket the crash-state fingerprint folds for it, at every step. Pruning
+// is sound only while the fingerprint merges exactly the states the
+// checker cannot tell apart; TestCheckOrder pins the order both share.
+func TestCheckerAgreesWithFingerprint(t *testing.T) {
+	seeds := int64(16)
+	if raceEnabled {
+		seeds = 4
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewPM(fpTestPool)
+		for step, e := range randomEntries(rng, 120, fpTestPool) {
+			s.Apply(e)
+			if err := checkAgreement(s); err != nil {
+				t.Fatalf("seed %d, step %d (%v @%d+%d): %v", seed, step, e.Kind, e.Addr, e.Size, err)
+			}
+		}
+	}
+}
+
+// TestCheckOrder pins the §5.4 check order: each case's byte must classify
+// as its Class and fold as its fingerprint symbol (bucket<<32 | writer; the
+// one writer here is index 1). The commit variable is [64, 72) and guards
+// [128, 192).
+func TestCheckOrder(t *testing.T) {
+	const cv, data, plain = 64, 128, 256
+	guard := trace.Entry{Kind: trace.RegCommitRange, Addr: cv, Size: 8, Addr2: data, Size2: 64}
+	e := func(k trace.Kind, addr, size uint64) trace.Entry {
+		return trace.Entry{Kind: k, Addr: addr, Size: size, IP: "t.go:1"}
+	}
+	persist := func(addr uint64) []trace.Entry {
+		return []trace.Entry{e(trace.CLWB, addr, 8), {Kind: trace.SFence}}
+	}
+	cat := func(parts ...[]trace.Entry) (out []trace.Entry) {
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		entries []trace.Entry
+		b       uint64
+		class   Class
+		sym     uint64
+	}{
+		{"never written", nil, plain, ClassOK, 0},
+		{"commit variable, TX-protected",
+			[]trace.Entry{guard, {Kind: trace.TxBegin}, e(trace.TxAdd, cv, 8), e(trace.Write, cv, 8)},
+			cv, ClassBenign, 1<<32 | 1},
+		{"guarded data before its variable's first commit write",
+			cat([]trace.Entry{guard, e(trace.Write, data, 8)}, persist(data)),
+			data, ClassOK, 6<<32 | 1},
+		{"TX-protected",
+			[]trace.Entry{{Kind: trace.TxBegin}, e(trace.TxAdd, plain, 8), e(trace.Write, plain, 8)},
+			plain, ClassOK, 2<<32 | 1},
+		{"guarded data, TX-protected, Eq. 3 failing",
+			[]trace.Entry{guard, {Kind: trace.TxBegin}, e(trace.TxAdd, data, 8), e(trace.Write, data, 8),
+				e(trace.Write, cv, 8), e(trace.CLWB, data, 8), e(trace.CLWB, cv, 8), {Kind: trace.SFence}},
+			data, ClassOK, 2<<32 | 1},
+		{"Modified", []trace.Entry{e(trace.Write, plain, 8)}, plain, ClassRace, 4<<32 | 1},
+		{"WritebackPending",
+			[]trace.Entry{e(trace.Write, plain, 8), e(trace.CLWB, plain, 8)},
+			plain, ClassRace, 5<<32 | 1},
+		{"guarded data WritebackPending, Eq. 3 failing",
+			[]trace.Entry{guard, e(trace.Write, data, 8), e(trace.Write, cv, 8), e(trace.CLWB, data, 8)},
+			data, ClassRace, 5<<32 | 1},
+		{"Persisted", cat([]trace.Entry{e(trace.Write, plain, 8)}, persist(plain)), plain, ClassOK, 6<<32 | 1},
+		{"Persisted, Eq. 3 holding",
+			cat([]trace.Entry{guard, e(trace.Write, data, 8)}, persist(data),
+				[]trace.Entry{e(trace.Write, cv, 8)}, persist(cv)),
+			data, ClassOK, 6<<32 | 1},
+		{"Persisted, Eq. 3 failing",
+			[]trace.Entry{guard, e(trace.Write, data, 8), e(trace.Write, cv, 8),
+				e(trace.CLWB, data, 8), e(trace.CLWB, cv, 8), {Kind: trace.SFence}},
+			data, ClassSemantic, 7<<32 | 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewPM(4096)
+			for _, en := range tc.entries {
+				s.Apply(en)
+			}
+			if got := checkerClass(s, tc.b); got != tc.class {
+				t.Errorf("OnRead(%d, 1) reports %v, want %v", tc.b, got, tc.class)
+			}
+			if bk, w := refBucket(s, tc.b); symbol(bk, w) != tc.sym {
+				t.Errorf("symbol %#x, want %#x", symbol(bk, w), tc.sym)
+			}
+			requireFreshFingerprint(t, s, "after the case's entries")
+		})
+	}
 }

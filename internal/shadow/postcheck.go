@@ -14,9 +14,14 @@ package shadow
 // The scratch lives inside the shadow pages: a page never touched
 // pre-failure needs no overlay or checked marks, because every byte of it
 // has writeEpoch 0 and classifies OK on every read — so the checker skips
-// unallocated pages entirely. On a fork, the first scratch update of a
-// shared page privatizes it (writablePage), so concurrent failure points
-// never see each other's overlay.
+// unallocated pages entirely. A checker writes the scratch of the shadow
+// it checks: detection checks its failure points one after another on
+// the canonical shadow, and a checker on a fork privatizes each shared page
+// it marks (writablePage).
+//
+// The check order is written once, as a byte's bucket (byteBucket), and
+// the crash-state fingerprint (fingerprint.go) folds the same bucket:
+// pruning merges exactly the crash states this checker cannot tell apart.
 
 // Class is the classification of a post-failure read.
 type Class uint8
@@ -50,14 +55,66 @@ func (c Class) String() string {
 	return "unknown"
 }
 
+// Buckets of the check order, in order of precedence. The values enter
+// every crash-state fingerprint: renumbering one changes the pinned
+// fingerprints.
+const (
+	bucketUnwritten = 0 // no pre-failure writer, so no cross-failure bug (§2.2)
+	bucketCommitVar = 1 // a commit-variable byte: a benign race (§3.1), even if TX_ADDed
+	bucketTxSafe    = 2 // undo-log protected: recoverable wherever the failure hits
+	bucketSemantic  = 7 // persisted, but semantically inconsistent (Eq. 3)
+	bucketState     = 3 // + PersistState: Modified and WritebackPending race
+)
+
+// bucketClass is the class of a post-failure read of a byte in each bucket.
+var bucketClass = [...]Class{
+	bucketUnwritten:                ClassOK,
+	bucketCommitVar:                ClassBenign,
+	bucketTxSafe:                   ClassOK,
+	bucketState + Unmodified:       ClassRace,
+	bucketState + Modified:         ClassRace,
+	bucketState + WritebackPending: ClassRace,
+	bucketState + Persisted:        ClassOK,
+	bucketSemantic:                 ClassSemantic,
+}
+
+// plainBucket is the bucket of a byte no commit variable or associated
+// range covers, given its metadata: the order without its two geometry
+// tests.
+func plainBucket(st PersistState, we uint32, txSafe bool) uint8 {
+	switch {
+	case we == 0:
+		return bucketUnwritten
+	case txSafe:
+		return bucketTxSafe
+	}
+	return bucketState + uint8(st)
+}
+
+// byteBucket is the bucket of the byte at b under the whole order, given
+// its metadata. Callers that know no commit geometry covers b take
+// plainBucket instead (geometryOverlaps).
+func (s *PM) byteBucket(b uint64, st PersistState, we, pe uint32, txSafe bool) uint8 {
+	switch {
+	case we == 0:
+		return bucketUnwritten
+	case s.isCommitVarByte(b):
+		return bucketCommitVar
+	case !txSafe && st == Persisted:
+		if cv := s.assocFor(b); cv != nil && !semanticallyConsistent(cv, we, pe) {
+			return bucketSemantic
+		}
+	}
+	return plainBucket(st, we, txSafe)
+}
+
 // Finding is one classified post-failure read of a contiguous byte range
 // with a single last writer.
 type Finding struct {
 	Class    Class
 	Addr     uint64
 	Size     uint64
-	WriterIP string       // source location of the pre-failure writer
-	State    PersistState // persistence state of the range at the failure
+	WriterIP string // source location of the pre-failure writer
 }
 
 // PostChecker checks one post-failure execution against the shadow state at
@@ -99,14 +156,16 @@ func (c *PostChecker) OnWrite(addr, size uint64) {
 // OnRead classifies a post-failure read and returns the non-OK findings,
 // with contiguous bytes of equal classification and writer collapsed into
 // single findings. Bytes already checked during this post-failure execution
-// are skipped (same result as the first check).
+// are skipped (same result as the first check). Commit geometry is tested
+// once per 64-byte line: only a line some commit variable or associated
+// range overlaps takes byteBucket's per-byte lookups.
 func (c *PostChecker) OnRead(addr, size uint64) []Finding {
 	s := c.pm
 	addr, end := s.clip(addr, size)
 	var findings []Finding
 	var cur *Finding
 	flush := func() { cur = nil }
-	emit := func(b uint64, class Class, st PersistState) {
+	emit := func(b uint64, class Class) {
 		switch class {
 		case ClassOK:
 			flush()
@@ -121,7 +180,7 @@ func (c *PostChecker) OnRead(addr, size uint64) []Finding {
 			cur.Size++
 			return
 		}
-		findings = append(findings, Finding{Class: class, Addr: b, Size: 1, WriterIP: wip, State: st})
+		findings = append(findings, Finding{Class: class, Addr: b, Size: 1, WriterIP: wip})
 		cur = &findings[len(findings)-1]
 	}
 	for b := addr; b < end; {
@@ -135,50 +194,24 @@ func (c *PostChecker) OnRead(addr, size uint64) []Finding {
 			continue
 		}
 		pg := s.writablePage(pi)
-		for i := lo; i < hi; i++ {
-			if pg.postWritten[i] == s.postGen || pg.checked[i] == s.postGen {
-				flush()
-				continue
+		base := b - uint64(lo) // the page's first address
+		for i := lo; i < hi; {
+			lineEnd := min(i&^(lineBytes-1)+lineBytes, hi)
+			geometry := s.geometryOverlaps(base+uint64(i), base+uint64(lineEnd))
+			for ; i < lineEnd; i++ {
+				if pg.postWritten[i] == s.postGen || pg.checked[i] == s.postGen {
+					flush()
+					continue
+				}
+				pg.checked[i] = s.postGen
+				bk := plainBucket(pg.state[i], pg.writeEpoch[i], pg.txSafe[i])
+				if geometry {
+					bk = s.byteBucket(base+uint64(i), pg.state[i], pg.writeEpoch[i], pg.persistEpoch[i], pg.txSafe[i])
+				}
+				emit(base+uint64(i), bucketClass[bk])
 			}
-			pg.checked[i] = s.postGen
-			bb := b + uint64(i-lo)
-			class, st := c.classify(bb, pg.state[i], pg.writeEpoch[i], pg.persistEpoch[i], pg.txSafe[i])
-			emit(bb, class, st)
 		}
 		b = next
 	}
 	return findings
-}
-
-// classify implements the check order of §5.4 for the byte at b, given its
-// per-byte metadata: consistency first (a consistent location is certainly
-// bug-free), then persistence, then semantic consistency for persisted
-// data.
-func (c *PostChecker) classify(b uint64, st PersistState, writeEpoch, persistEpoch uint32, txSafe bool) (Class, PersistState) {
-	s := c.pm
-	// Not modified during the pre-failure stage: a cross-failure bug
-	// requires a pre-failure writer (§2.2).
-	if writeEpoch == 0 {
-		return ClassOK, st
-	}
-	// Reading a commit variable is a benign cross-failure race.
-	if s.isCommitVarByte(b) {
-		return ClassBenign, st
-	}
-	// Undo-log protection: TX_ADDed (or transactionally allocated) data is
-	// recoverable no matter where the failure hits.
-	if txSafe {
-		return ClassOK, st
-	}
-	// Cross-failure race: not guaranteed persisted before the failure.
-	if st != Persisted {
-		return ClassRace, st
-	}
-	// Persisted, but possibly semantically inconsistent (Eq. 3).
-	if cv := s.assocFor(b); cv != nil {
-		if !semanticallyConsistent(cv, writeEpoch, persistEpoch) {
-			return ClassSemantic, st
-		}
-	}
-	return ClassOK, st
 }

@@ -161,7 +161,7 @@ func TestTxProtectionLifecycle(t *testing.T) {
 	}
 }
 
-// TestPostCheckerBasics covers the classify order.
+// TestPostCheckerBasics covers the check order's plain buckets.
 func TestPostCheckerBasics(t *testing.T) {
 	s := NewPM(4096)
 	// never-written byte: OK.
@@ -386,7 +386,7 @@ func TestInvariantsProperty(t *testing.T) {
 // TestPersistedImpliesSafeProperty: any byte driven through
 // write→CLWB→SFENCE (in any interleaving with other bytes) is never
 // reported by a fresh post check (property-based soundness of the
-// classify path for persisted data with no commit semantics).
+// check order for persisted data with no commit semantics).
 func TestPersistedImpliesSafeProperty(t *testing.T) {
 	const size = 512
 	f := func(seed int64, writes uint8) bool {
