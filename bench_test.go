@@ -286,20 +286,18 @@ func BenchmarkCrossShardPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordedFanout measures the record-once fast-forward path
-// (PR 10): a three-shard update-heavy campaign where the pre-failure pass
-// is recorded once and every shard replays the artifact — jumping to the
-// nearest engine checkpoint below its first owned failure point — against
+// BenchmarkRecordedFanout measures the record-once path: a three-shard
+// update-heavy campaign where the pre-failure pass is recorded once and
+// every shard replays the artifact's trace from its head, against
 // the same fleet with the knob off (-no-fast-forward), where every shard
-// re-executes the full pre-failure stage live. The fleet's pre-failure
-// cost drops from O(shards x trace) to O(trace + per-shard suffixes);
-// pre-s/shard carries the per-shard reduction, record-s/op the one-time
-// recording cost the fast-forward variant amortizes. The campaign is
-// B-Tree under the update-heavy ablation configuration: a live shard
-// re-executes every pmobj transaction with source-location capture, which
-// is exactly the work the replay drops.
-// TestRecordedFanoutAcceptance pins the >= 2x per-shard claim and the
-// byte-identical merged key sets.
+// re-executes the full pre-failure stage live. pre-s/shard carries the
+// per-shard pre-failure cost, record-s/op the one-time recording cost the
+// record-once variant amortizes. The campaign is B-Tree under the
+// update-heavy ablation configuration: a live shard re-executes every
+// pmobj transaction, which is exactly the work the replay drops.
+// TestRecordedFanoutAcceptance pins the byte-identical merged key sets and
+// logs the per-shard ratio, which no longer reaches 2x now that the live
+// stage captures IPs only where a checker reads them.
 func BenchmarkRecordedFanout(b *testing.B) {
 	const shards = 3
 	target := bench.RecordedFanoutTarget

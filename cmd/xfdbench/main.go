@@ -39,7 +39,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig12a | fig12b | fig13 | table1 | table4 | table5 | coverage | newbugs | all")
+		experiment = flag.String("experiment", "all", "fig12a | fig12b | fig13 | table1 | table4 | table5 | coverage | newbugs | pruning | all")
 		outPath    = flag.String("o", "", "write results to this file instead of stdout")
 		parseBench = flag.String("parse-bench", "", "parse `go test -bench` output from this file (- for stdin) into baseline JSON instead of running experiments")
 		compare    = flag.String("compare", "", "compare this baseline JSON against the one named by the next argument; exit 1 past -threshold")

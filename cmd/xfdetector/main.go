@@ -95,8 +95,8 @@ func realMain(args []string) int {
 		poolFile    = fs.String("pool-file", "", "back the PM pool with this mmap'd file, persisted with range-batched msync at every ordering point and failure-point snapshot; a fresh campaign refuses an existing file (-resume reopens it). With -spawn the value marks the request and each shard gets <workdir>/c<N>/shard<i>.pool")
 		workdir     = fs.String("workdir", "", "daemon directory for -spawn and -serve (default: a fresh temporary directory): each campaign gets the first free c<N>/ with its shard checkpoints (shard<i>.ckpt) and pool files (shard<i>.pool)")
 		keysOut     = fs.String("keys-out", "", "write the sorted deduplicated report keys to this file")
-		recordPath  = fs.String("record", "", "record the deterministic pre-failure pass once into this artifact (trace + engine checkpoints + pool deltas) and exit without post-failure runs; shards, -resume, and -serve workers replay it with -from-record instead of re-executing the program")
-		fromRecord  = fs.String("from-record", "", "replay the pre-failure stage from this recorded artifact instead of executing the program, fast-forwarding through the nearest engine checkpoint below the first owned failure point; the artifact's program identity must match this campaign's flags")
+		recordPath  = fs.String("record", "", "record the deterministic pre-failure pass once into this artifact (trace + per-failure-point fingerprints and pool deltas) and exit without post-failure runs; shards, -resume, and -serve workers replay it with -from-record instead of re-executing the program")
+		fromRecord  = fs.String("from-record", "", "replay the pre-failure stage from this recorded artifact instead of executing the program: its trace is applied from the head, and every fingerprinted failure point must match the recorded fingerprint; the artifact's program identity must match this campaign's flags")
 		noFF        = fs.Bool("no-fast-forward", false, "ablation: the campaign daemon (-spawn, -submit) skips the record-once pass and every shard re-executes the pre-failure stage live (the report-key set is identical either way)")
 		shards      = fs.Int("shards", 0, "total shards of a partitioned campaign (this process runs the crash-state classes its fingerprints assign to shard-index; under -no-prune, failure points fp%%shards == shard-index)")
 		shardIndex  = fs.Int("shard-index", -1, "this process's shard in [0, shards)")

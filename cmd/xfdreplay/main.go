@@ -14,7 +14,7 @@
 // the pmemcheck-like and PMTest-like checkers would report. -analyze
 // accepts both container formats by sniffing the magic: a bare XFDT trace
 // (this command's own -record output) or a recorded-campaign XFDR
-// artifact (xfdetector -record), whose header and checkpoint inventory
+// artifact (xfdetector -record), whose header and failure-point count
 // are printed before its embedded trace is analyzed.
 package main
 
@@ -111,12 +111,7 @@ func doAnalyze(path string) error {
 	case err == nil:
 		fmt.Printf("recorded-campaign artifact: target %q, identity %016x, pool %d bytes\n",
 			a.Target, a.Identity, a.PoolSize)
-		fmt.Printf("  %d failure point(s), %d engine checkpoint(s), %d pre-failure perf report(s)\n",
-			len(a.FPs), len(a.Checkpoints), len(a.Perf))
-		for _, ck := range a.Checkpoints {
-			fmt.Printf("  checkpoint at failure point %d (trace index %d, %d op(s))\n",
-				ck.FP, ck.TraceIdx, ck.OpsEver)
-		}
+		fmt.Printf("  %d failure point(s)\n", len(a.FPs))
 		fmt.Println()
 		tr = a.Trace
 	case errors.Is(err, record.ErrBadMagic):

@@ -10,7 +10,7 @@ import (
 	"github.com/pmemgo/xfdetector/internal/record"
 )
 
-// TestRecordedFanoutAcceptance pins the record-once fast-forward path on
+// TestRecordedFanoutAcceptance pins the record-once replay path on
 // the three-shard update-heavy B-Tree campaign BenchmarkRecordedFanout
 // measures: the merged report-key set of a fleet replaying the recorded
 // artifact must be byte-identical to that of a fleet executing the

@@ -237,7 +237,7 @@ var PruneAblationConfig = workloads.TargetConfig{
 // validation suite's skip-add-leaf fault seeded, so the merged key sets
 // both compare are non-empty. The pre-failure stage runs sixty pmobj
 // update transactions with per-store source-location capture — the work a
-// fast-forwarded shard replaces with trace application, which is where
+// replaying shard replaces with trace application, which is where
 // the recorded artifact's speedup comes from.
 func RecordedFanoutTarget() core.Target {
 	m, ok := workloads.MakerFor("B-Tree")

@@ -174,27 +174,21 @@ type Config struct {
 	// stage executes once with the post-failure stage forced off (failure
 	// points are injected and counted exactly as a real campaign would, but
 	// nothing is dispatched), and at each failure point the runner hands
-	// the writer the trace position, the crash-state fingerprint, and the
-	// pool pages dirtied since the previous point; the writer checkpoints
-	// the serialized shadow periodically and Run finalizes the artifact.
-	// Requires ModeDetect and a memory-backed pool; a cancelled or
+	// the writer the crash-state fingerprint and the pool pages dirtied
+	// since the previous point; Run finalizes the artifact with the kept
+	// trace. Requires ModeDetect and a memory-backed pool; a cancelled or
 	// degraded recording fails with an error rather than producing a
 	// short artifact.
 	Record *record.Writer
 	// Replay, if set, runs the frontend from a recorded artifact instead
-	// of executing Target.Setup/Target.Pre: trace entries replay into the
-	// shadow, recorded failure-point markers dispatch post-runs exactly as
-	// live injection would (same sharding, resume, pruning, and verdict
-	// semantics), and the pool image advances by the artifact's page
-	// deltas. When pruning is on and the shard's first owned, uncovered
-	// failure point lies past an engine checkpoint, the replay jumps to
-	// the nearest checkpoint at or below it — restoring the serialized
-	// shadow and the composed pool image — and replays only the trace
-	// delta; every replayed dispatch first verifies the recorded
-	// crash-state fingerprint against the replayed shadow and fails the
-	// run on a mismatch (a stale or corrupt checkpoint must never skew
-	// detection silently). Requires ModeDetect and a pool size matching
-	// the artifact's.
+	// of executing Target.Setup/Target.Pre: the trace replays into the
+	// shadow from its head, recorded failure-point markers dispatch
+	// post-runs exactly as live injection would (same sharding, resume,
+	// pruning, and verdict semantics), and the pool image advances by the
+	// artifact's page deltas. Every failure point the replay fingerprints
+	// must reproduce the recorded crash-state fingerprint, or the run
+	// fails (a corrupt artifact must never skew detection silently).
+	// Requires ModeDetect and a pool size matching the artifact's.
 	Replay *record.Artifact
 }
 

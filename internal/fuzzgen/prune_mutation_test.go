@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pmemgo/xfdetector/internal/core"
 	"github.com/pmemgo/xfdetector/internal/shadow"
 )
 
@@ -43,10 +44,10 @@ var pruneMutationKnobs = []Knob{KnobDroppedFence, KnobMixed}
 // collapses distinct crash states and some seed's pruned run loses a
 // report key (or breaks the accounting) relative to the brute-force
 // oracle. A stale-cache mutant can instead surface in the recorded
-// config: the recording pass stores its stale fingerprints, while a
-// replay restored from an engine checkpoint recomputes every line hash
-// from the page data, so the replay's fingerprint tripwire refuses the
-// artifact — that refusal counts as a catch too. Must not run in parallel
+// config: a resumed replay fingerprints none of its completed points, so
+// its stale line hashes need not match the ones the recording pass
+// stored, and the replay's fingerprint tripwire refuses the artifact —
+// that refusal counts as a catch too. Must not run in parallel
 // with other tests: the mutation switches are package-level toggles in
 // internal/shadow.
 func TestPruneMutationCaught(t *testing.T) {
@@ -136,4 +137,10 @@ func TestPruneMutationCaughtByCorpus(t *testing.T) {
 			t.Logf("%s caught by %d corpus programs", mut.name, caught)
 		})
 	}
+}
+
+// isTripwire reports whether err is a replay's fingerprint tripwire
+// refusing a recorded artifact.
+func isTripwire(err error) bool {
+	return errors.Is(err, core.ErrFingerprintMismatch)
 }

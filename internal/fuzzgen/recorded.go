@@ -11,18 +11,11 @@ import (
 )
 
 // Differential configurations for the recorded-campaign artifact (the
-// -record / -from-record fast-forward path). Replaying the pre-failure
-// stage from an artifact may only change *how* the frontend trace reaches
-// the backend, never what the campaign reports: the key set, the
-// failure-point accounting, and the exact bytes every surviving post-run
-// observes must all match the live execution — and through an engine
-// checkpoint jump, the suffix replay must be indistinguishable from a
-// full-trace replay.
-
-// recordedCheckpointEvery is the artifact checkpoint interval used by the
-// differential configurations: small, so generated programs (a handful of
-// failure points) still exercise the checkpoint-jump path.
-const recordedCheckpointEvery = 2
+// -record / -from-record path). Replaying the pre-failure stage from an
+// artifact may only change *how* the frontend trace reaches the backend,
+// never what the campaign reports: the key set, the failure-point
+// accounting, and the exact bytes every surviving post-run observes must
+// all match the live execution.
 
 // recordProgram runs p's recording pass and decodes the artifact.
 func recordProgram(p Program) (*record.Artifact, error) {
@@ -32,7 +25,7 @@ func recordProgram(p Program) (*record.Artifact, error) {
 	}
 	var buf bytes.Buffer
 	cfg := core.Config{PoolSize: p.PoolSize}
-	cfg.Record = record.NewWriter(&buf, id, p.PoolSize, recordedCheckpointEvery)
+	cfg.Record = record.NewWriter(&buf, id, p.PoolSize, 0)
 	res, err := core.Run(cfg, BuildTarget(p))
 	if err != nil {
 		return nil, fmt.Errorf("fuzzgen: %q: recording: %w", p.Name, err)
@@ -55,10 +48,9 @@ func recordProgram(p Program) (*record.Artifact, error) {
 // the oracle: a sequential replay must match the live pruned run key for
 // key and bucket for bucket (byte-identical post-read digests included), a
 // three-shard replay fleet must union to the oracle's key set with exact
-// per-shard accounting, and a deep-jump resume (every failure point but
-// the last completed, fast-forwarding through the nearest engine
-// checkpoint) must report exactly what a full-trace replay of the same
-// resume reports.
+// per-shard accounting, and a deep resume (every failure point but the
+// last completed) must report exactly what the live run of the same resume
+// reports.
 func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 	a, err := recordProgram(p)
 	if err != nil {
@@ -95,8 +87,8 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 		return err
 	}
 
-	// Three-shard replay fleet: every shard fast-forwards from the same
-	// artifact; the union must still be the oracle's key set.
+	// Three-shard replay fleet: every shard replays the same artifact; the
+	// union must still be the oracle's key set.
 	shardLog := &PostReadLog{}
 	results := make([]*core.Result, 0, verdictShards)
 	for idx := 0; idx < verdictShards; idx++ {
@@ -123,10 +115,8 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 		return err
 	}
 
-	// Deep-jump resume: everything but the last failure point completed, so
-	// the replay fast-forwards through the nearest checkpoint. The full-trace
-	// replay of the same resume (KeepTrace pins the no-jump path) is the
-	// reference.
+	// Deep resume: everything but the last failure point completed. The
+	// live run of the same resume is the reference.
 	total := len(a.FPs)
 	if total < 2 {
 		return nil
@@ -135,45 +125,40 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 	for fp := 0; fp < total-1; fp++ {
 		completed[fp] = true
 	}
-	resume := func(keepTrace bool) (*core.Result, error) {
-		res, err := core.Run(core.Config{
+	resume := func(replay *record.Artifact) (*core.Result, error) {
+		return core.Run(core.Config{
 			PoolSize:               p.PoolSize,
-			Replay:                 a,
-			KeepTrace:              keepTrace,
+			Replay:                 replay,
 			CompletedFailurePoints: completed,
 		}, BuildTarget(p))
-		if err != nil {
-			return nil, replayMismatch(p, "recorded-resume", fmt.Errorf("fuzzgen: %q: resume replay (keepTrace=%v): %w", p.Name, keepTrace, err))
-		}
-		return res, nil
 	}
-	jumped, err := resume(false)
+	live, err := resume(nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("fuzzgen: %q: live resume: %w", p.Name, err)
 	}
-	full, err := resume(true)
+	replayed, err := resume(a)
 	if err != nil {
-		return err
+		return replayMismatch(p, "recorded-resume", fmt.Errorf("fuzzgen: %q: resume replay: %w", p.Name, err))
 	}
-	if err := compare(p, "recorded-resume", "keys", joinKeys(full), joinKeys(jumped)); err != nil {
+	if err := compare(p, "recorded-resume", "keys", joinKeys(live), joinKeys(replayed)); err != nil {
 		return err
 	}
 	if err := compare(p, "recorded-resume", "post-runs",
-		fmt.Sprint(full.PostRuns), fmt.Sprint(jumped.PostRuns)); err != nil {
+		fmt.Sprint(live.PostRuns), fmt.Sprint(replayed.PostRuns)); err != nil {
 		return err
 	}
 	if err := compare(p, "recorded-resume", "resumed-failure-points",
-		fmt.Sprint(total-1), fmt.Sprint(jumped.ResumedFailurePoints)); err != nil {
+		fmt.Sprint(live.ResumedFailurePoints), fmt.Sprint(replayed.ResumedFailurePoints)); err != nil {
 		return err
 	}
 	return compare(p, "recorded-resume", "bucket-accounting",
-		fmt.Sprint(jumped.FailurePoints), fmt.Sprint(jumped.BucketedFailurePoints()))
+		fmt.Sprint(replayed.FailurePoints), fmt.Sprint(replayed.BucketedFailurePoints()))
 }
 
 // replayMismatch reports a replay that the fingerprint tripwire stopped as
 // a differential mismatch: the replayed shadow fingerprinted a crash state
 // differently from the recording pass, which only an engine inconsistency
-// can cause (a fingerprint the line cache got wrong, a stale checkpoint).
+// can cause (a fingerprint the line cache got wrong).
 // Every other error passes through unchanged.
 func replayMismatch(p Program, config string, err error) error {
 	if errors.Is(err, core.ErrFingerprintMismatch) {

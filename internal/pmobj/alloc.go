@@ -107,12 +107,13 @@ func (po *Pool) AllocAtomic(size uint64, constructor func(off uint64)) (uint64, 
 	return dataOff, nil
 }
 
-// FreeAtomic frees an atomic allocation at dataOff.
+// FreeAtomic frees an atomic allocation at dataOff. A free of a run that
+// is not allocated — a double free — returns ErrBadFree.
 func (po *Pool) FreeAtomic(dataOff uint64) error {
 	if po.tx != nil {
 		return ErrInTx
 	}
-	idx, n, err := po.blocksOf(dataOff)
+	idx, n, err := po.freeRun(dataOff)
 	if err != nil {
 		return err
 	}
@@ -131,20 +132,49 @@ func (po *Pool) FreeAtomic(dataOff uint64) error {
 	return nil
 }
 
-// blocksOf maps a data offset back to its block run.
-func (po *Pool) blocksOf(dataOff uint64) (idx, n uint64, err error) {
+// blockIndex maps a data offset to the index of its first block; ok is
+// false when the offset is not a block-aligned allocation inside the heap.
+func (po *Pool) blockIndex(dataOff uint64) (idx uint64, ok bool) {
 	blockStart := dataOff - allocHeader
-	if blockStart < po.heapOff || blockStart >= po.heapOff+po.heapSize ||
-		(blockStart-po.heapOff)%BlockSize != 0 {
-		return 0, 0, ErrBadFree
+	if blockStart < po.heapOff || (blockStart-po.heapOff)%BlockSize != 0 {
+		return 0, false
 	}
 	idx = (blockStart - po.heapOff) / BlockSize
+	return idx, idx < po.nblocks
+}
+
+// blocksOf maps a data offset back to its block run.
+func (po *Pool) blocksOf(dataOff uint64) (idx, n uint64, err error) {
+	idx, ok := po.blockIndex(dataOff)
+	if !ok {
+		return 0, 0, ErrBadFree
+	}
 	done := po.lib()
-	size := po.p.Load64(blockStart)
+	size := po.p.Load64(dataOff - allocHeader)
 	done()
 	n = blocksFor(size)
 	if idx+n > po.nblocks {
 		return 0, 0, ErrBadFree
+	}
+	return idx, n, nil
+}
+
+// freeRun is blocksOf for a free by the program: it refuses a run any
+// block of which is free in the volatile map, so a second free of a stale
+// offset cannot release blocks a later allocation reuses. The first block
+// is tested before the traced header load, so refusing a free of a run
+// that is still free traces nothing.
+func (po *Pool) freeRun(dataOff uint64) (idx, n uint64, err error) {
+	if idx, ok := po.blockIndex(dataOff); ok && po.used[idx] == 0 {
+		return 0, 0, ErrBadFree
+	}
+	if idx, n, err = po.blocksOf(dataOff); err != nil {
+		return 0, 0, err
+	}
+	for b := idx; b < idx+n; b++ {
+		if po.used[b] == 0 {
+			return 0, 0, ErrBadFree
+		}
 	}
 	return idx, n, nil
 }

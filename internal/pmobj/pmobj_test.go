@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/pmemgo/xfdetector/internal/pmem"
+	"github.com/pmemgo/xfdetector/internal/trace"
 )
 
 func newTestPool(t *testing.T) *pmem.Pool {
@@ -290,6 +291,95 @@ func TestTxFreeRolledBackOnCrash(t *testing.T) {
 	}
 	if size, err := po2.AllocSize(off); err != nil || size != 64 {
 		t.Errorf("AllocSize after recovery = %d, %v", size, err)
+	}
+}
+
+// countingSink counts the trace entries a pool records.
+type countingSink struct{ n int }
+
+func (c *countingSink) Record(trace.Entry) { c.n++ }
+
+// TestDoubleFreeAtomicRefused: alloc, free, realloc, then a second free of
+// the stale offset fails with ErrBadFree and leaves FreeBlocks unchanged.
+// The realloc is larger than the freed run and a live neighbour follows
+// it, so first fit places it elsewhere and the stale run stays free. (A
+// realloc that lands on the same offset makes the second free a valid
+// free of the new object: offsets alone cannot tell the two apart.)
+func TestDoubleFreeAtomicRefused(t *testing.T) {
+	p := newTestPool(t)
+	po := mustCreate(t, p, 64)
+	stale, err := po.AllocAtomic(100, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := po.AllocAtomic(100, nil); err != nil { // the live neighbour
+		t.Fatal(err)
+	}
+	if err := po.FreeAtomic(stale); err != nil {
+		t.Fatalf("first FreeAtomic: %v", err)
+	}
+	again, err := po.AllocAtomic(300, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == stale {
+		t.Fatal("the larger reallocation reused the freed run")
+	}
+	before := po.FreeBlocks()
+	sink := &countingSink{}
+	p.SetSink(sink)
+	err = po.FreeAtomic(stale)
+	p.SetSink(nil)
+	if err != ErrBadFree {
+		t.Fatalf("second FreeAtomic of a freed offset = %v, want ErrBadFree", err)
+	}
+	if got := po.FreeBlocks(); got != before {
+		t.Errorf("refused free changed FreeBlocks %d -> %d", before, got)
+	}
+	if sink.n != 0 {
+		t.Errorf("refused free traced %d entries, want none", sink.n)
+	}
+	if err := blockMapMatches(po); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDoubleTxFreeRefused: within one transaction a second Tx.Free of the
+// same run fails before it is logged, and the commit frees the run once;
+// after the commit a Tx.Free of that run fails as well.
+func TestDoubleTxFreeRefused(t *testing.T) {
+	p := newTestPool(t)
+	po := mustCreate(t, p, 64)
+	off, err := po.AllocAtomic(100, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := po.FreeBlocks()
+	err = po.Tx(func(tx *Tx) error {
+		if err := tx.Free(off); err != nil {
+			return err
+		}
+		logged := p.Load64(po.txLogOff + txCountOff)
+		if err := tx.Free(off); err != ErrBadFree {
+			t.Errorf("second Tx.Free in one transaction = %v, want ErrBadFree", err)
+		}
+		if got := p.Load64(po.txLogOff + txCountOff); got != logged {
+			t.Errorf("refused Tx.Free logged an entry: %d -> %d", logged, got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := po.FreeBlocks(), before+blocksFor(100); got != want {
+		t.Errorf("FreeBlocks after commit = %d, want %d", got, want)
+	}
+	err = po.Tx(func(tx *Tx) error { return tx.Free(off) })
+	if err != ErrBadFree {
+		t.Errorf("Tx.Free of a committed free = %v, want ErrBadFree", err)
+	}
+	if err := blockMapMatches(po); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -141,15 +141,22 @@ func (tx *Tx) Alloc(size uint64) (uint64, error) {
 }
 
 // Free releases an allocation transactionally — TX_FREE. The blocks are
-// reusable only after commit; abort and recovery re-mark them used.
+// reusable only after commit; abort and recovery re-mark them used. A free
+// of a run that is not allocated, or that overlaps a run this transaction
+// already freed, returns ErrBadFree before anything is logged.
 func (tx *Tx) Free(dataOff uint64) error {
 	if tx.done {
 		return ErrNoTx
 	}
 	po := tx.po
-	idx, n, err := po.blocksOf(dataOff)
+	idx, n, err := po.freeRun(dataOff)
 	if err != nil {
 		return err
+	}
+	for _, f := range tx.freed {
+		if idx < f.off+f.size && f.off < idx+n {
+			return ErrBadFree
+		}
 	}
 	if err := tx.appendEntry(entFree, dataOff, 0); err != nil {
 		return err
@@ -337,11 +344,10 @@ func (po *Pool) rollbackLog() {
 			if err != nil {
 				continue // torn entry cannot occur; be defensive anyway
 			}
+			// used stays 1 for a transaction's frees until commit, and
+			// recovery runs before used exists: only the block map changes.
 			for b := idx; b < idx+n; b++ {
 				p.Store8(po.blkmap+b, 1)
-				if po.used != nil {
-					po.used[b] = 1
-				}
 			}
 			p.CLWB(po.blkmap+idx, n)
 		}

@@ -237,7 +237,7 @@ func (s *Server) Handler() http.Handler {
 		leaseErr(w, s.Heartbeat(r.PathValue("id")))
 	})
 
-	// Raw-bytes artifact download for fast-forwarded shards; the fetch
+	// Raw-bytes artifact download for replaying shards; the fetch
 	// doubles as a heartbeat (ArtifactPath validates and renews the lease).
 	mux.HandleFunc("GET /leases/{id}/artifact", func(w http.ResponseWriter, r *http.Request) {
 		path, err := s.ArtifactPath(r.PathValue("id"))

@@ -129,7 +129,7 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) error {
 	w.logf("lease %s: campaign %s shard %d/%d%s", grant.Lease, grant.Campaign,
 		grant.Shard, grant.Shards, map[bool]string{true: " (-resume)", false: ""}[grant.Resume])
 
-	// Fast-forward: fetch the campaign's recorded pre-failure artifact and
+	// Record-once: fetch the campaign's recorded pre-failure artifact and
 	// hand it to the child with -from-record. Any fetch failure downgrades
 	// to a live pre-failure stage — slower, never unsound.
 	if grant.Artifact {
@@ -144,7 +144,7 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) error {
 			w.logf("lease %s: artifact fetch failed (%v); running the pre-failure stage live", grant.Lease, err)
 		} else {
 			grant.Args = append(grant.Args, "-from-record", path)
-			w.logf("lease %s: fetched recorded artifact; shard fast-forwards with -from-record", grant.Lease)
+			w.logf("lease %s: fetched recorded artifact; shard replays it with -from-record", grant.Lease)
 		}
 	}
 
