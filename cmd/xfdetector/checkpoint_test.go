@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,30 +16,54 @@ import (
 // exposed: a fixed line cap, silent truncation on mid-file corruption, and
 // an empty report set rendering as a lone newline.
 
+// resumeState loads a checkpoint the way -resume does: opened through its
+// log (which cuts a torn tail), then folded into resume state.
+func resumeState(path string) (ckpt.Data, error) {
+	log, lines, err := openCheckpoint(path, true)
+	if err != nil {
+		return ckpt.Data{Total: -1}, err
+	}
+	log.Close()
+	return ckpt.Fold(lines, path)
+}
+
+// ckptLine is failure point fp's per-point line.
+func ckptLine(fp int, reports ...core.Report) ckpt.Line {
+	return ckpt.Line{FP: fp, Reports: reports}
+}
+
+// mustAppend appends lines to a checkpoint log.
+func mustAppend(t *testing.T, log *ckpt.Log, lines ...ckpt.Line) {
+	t.Helper()
+	for _, l := range lines {
+		if err := log.Append(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestLoadCheckpointHugeLine: a failure point that contributed a large
 // report set writes a line far past bufio.Scanner's old 1 MiB cap; resume
 // must still read the intact file instead of failing with ErrTooLong.
 func TestLoadCheckpointHugeLine(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	w, err := openCheckpoint(ckpt, false)
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	w, _, err := openCheckpoint(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	big := core.Report{Class: core.PostFailureFault, FailurePoint: 1,
 		Message: strings.Repeat("stack frame / ", 1<<17)} // ~1.8 MiB marshaled
-	w.record(0, 0, nil)
-	w.record(1, 0, []core.Report{big})
-	w.record(2, 0, nil)
-	w.close()
+	mustAppend(t, w, ckptLine(0), ckptLine(1, big), ckptLine(2))
+	w.Close()
 
-	fi, err := os.Stat(ckpt)
+	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fi.Size() < 1<<20 {
 		t.Fatalf("checkpoint only %d bytes; too small to exercise the old 1 MiB cap", fi.Size())
 	}
-	cp, err := loadCheckpoint(ckpt)
+	cp, err := resumeState(path)
 	if err != nil {
 		t.Fatalf("loading a >1MiB-line checkpoint: %v", err)
 	}
@@ -55,14 +80,14 @@ func TestLoadCheckpointHugeLine(t *testing.T) {
 // would let a merge under-count completed failure points, so it must be a
 // load error.
 func TestLoadCheckpointMidFileCorruption(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	if err := os.WriteFile(ckpt, []byte(`{"fp":0}
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	if err := os.WriteFile(path, []byte(`{"fp":0}
 {"fp":1,"repor@@@ damaged
 {"fp":2}
 `), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadCheckpoint(ckpt); err == nil {
+	if _, err := resumeState(path); err == nil {
 		t.Fatal("mid-file corruption loaded without error, discarding valid lines")
 	} else if !strings.Contains(err.Error(), ":2:") {
 		t.Errorf("error %q does not locate the corrupt line", err)
@@ -74,12 +99,12 @@ func TestLoadCheckpointMidFileCorruption(t *testing.T) {
 // agreeing summaries are fine, disagreeing ones are a mixed campaign.
 func TestLoadCheckpointSummary(t *testing.T) {
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "ckpt.jsonl")
-	w, err := openCheckpoint(ckpt, false)
+	path := filepath.Join(dir, "ckpt.jsonl")
+	w, _, err := openCheckpoint(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.record(0, 0, []core.Report{{Class: core.CrossFailureRace, ReaderIP: "r.go:1", WriterIP: "w.go:2", FailurePoint: 0}})
+	mustAppend(t, w, ckptLine(0, core.Report{Class: core.CrossFailureRace, ReaderIP: "r.go:1", WriterIP: "w.go:2", FailurePoint: 0}))
 	res := &core.Result{
 		FailurePoints: 7,
 		Reports: []core.Report{
@@ -87,11 +112,11 @@ func TestLoadCheckpointSummary(t *testing.T) {
 			{Class: core.Performance, ReaderIP: "p.go:3", FailurePoint: -1},
 		},
 	}
-	w.recordSummary(res, 3)
-	w.recordSummary(res, 3) // a resumed completion appends an identical summary
-	w.close()
+	mustAppend(t, w, ckpt.Summary(res, 3))
+	mustAppend(t, w, ckpt.Summary(res, 3)) // a resumed completion appends an identical summary
+	w.Close()
 
-	cp, err := loadCheckpoint(ckpt)
+	cp, err := resumeState(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +142,7 @@ func TestLoadCheckpointSummary(t *testing.T) {
 `), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadCheckpoint(disagree); err == nil {
+	if _, err := resumeState(disagree); err == nil {
 		t.Error("disagreeing summary totals loaded without error")
 	}
 }
@@ -139,7 +164,7 @@ func TestMergeZeroTotalWithCheckpointedPoints(t *testing.T) {
 	}
 
 	// The zero-total summary marshals without its omitempty total field,
-	// exactly as recordSummary writes it for an empty campaign.
+	// exactly as ckpt.Summary renders it for an empty campaign.
 	zero := write("zero.jsonl", `{"fp":0}
 {"fp":1}
 {"fp":-1}
@@ -276,7 +301,9 @@ func TestMergeRefusesMixedPartitions(t *testing.T) {
 // TestMergeLegacyCrossShardCheckpoints: shard checkpoints written before
 // class sharding — failure-point partition, no partition field, a
 // cross_shard bucket on the summary — still merge complete, with the
-// bucket identity intact.
+// bucket identity intact. The format no longer has that bucket: the point
+// it accounted is covered beyond the summaries' buckets, so the merger
+// counts it as a post-run.
 func TestMergeLegacyCrossShardCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	race := `{"class":0,"addr":64,"size":8,"reader_ip":"r.go:1","writer_ip":"w.go:2","failure_point":0}`
@@ -310,15 +337,15 @@ func TestMergeLegacyCrossShardCheckpoints(t *testing.T) {
 		t.Fatalf("legacy merge: incomplete=%v (%s), %d failure points, %d reports; want complete, 6, 1",
 			res.Incomplete, res.IncompleteReason, res.FailurePoints, len(res.Reports))
 	}
-	if res.CrossShardPrunedFailurePoints != 1 || res.PostRuns != 4 || res.PrunedFailurePoints != 1 {
-		t.Errorf("legacy buckets: cross-shard %d, post-runs %d, pruned %d; want 1, 4, 1",
+	if res.CrossShardPrunedFailurePoints != 0 || res.PostRuns != 5 || res.PrunedFailurePoints != 1 {
+		t.Errorf("legacy buckets: cross-shard %d, post-runs %d, pruned %d; want 0, 5, 1",
 			res.CrossShardPrunedFailurePoints, res.PostRuns, res.PrunedFailurePoints)
 	}
 	if got := res.BucketedFailurePoints(); got != res.FailurePoints {
 		t.Errorf("legacy merge breaks the bucket identity: buckets sum to %d, %d failure points", got, res.FailurePoints)
 	}
-	if code, out := runCLI(t, "-merge "+strings.Join(paths, " ")); code != 1 || !strings.Contains(out, "cross-shard: 1") {
-		t.Errorf("-merge of the legacy pair exited %d, want 1 with the cross-shard bucket:\n%s", code, out)
+	if code, out := runCLI(t, "-merge "+strings.Join(paths, " ")); code != 1 || !strings.Contains(out, "post-failure runs: 5") {
+		t.Errorf("-merge of the legacy pair exited %d, want 1 with 5 post-runs:\n%s", code, out)
 	}
 }
 
@@ -348,5 +375,80 @@ func TestWriteKeysEmptySet(t *testing.T) {
 	}
 	if len(data) == 0 || data[len(data)-1] != '\n' || strings.Count(string(data), "\n") != 1 {
 		t.Errorf("single-key file = %q, want one newline-terminated line", data)
+	}
+}
+
+// updateCampaign is U′, the update-loop campaign whose seeded
+// btree-skip-add-update bug reports two keys from 124 failure points, 74
+// of them pruned: a class whose representative reported a key comes back
+// at later failure points, which is what a resume has to get right.
+const updateCampaign = "-workload btree -init 2 -test 1 -updates 2 -update-rounds 20 -patch btree-skip-add-update"
+
+// checkpointPrefix runs U′ with a full checkpoint and returns its keys
+// file and the checkpoint's first n lines, plus the first cut bytes of the
+// line after them (a torn append).
+func checkpointPrefix(t *testing.T, dir string, n, cut int) (keys string, prefix []byte) {
+	t.Helper()
+	full, keys := filepath.Join(dir, "full.ckpt"), filepath.Join(dir, "cold.txt")
+	if code, out := runCLI(t, updateCampaign+" -checkpoint "+full+" -keys-out "+keys); code != 1 {
+		t.Fatalf("uninterrupted run exited %d, want 1 (seeded bug):\n%s", code, out)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if len(lines) <= n {
+		t.Fatalf("checkpoint holds %d lines, want more than %d", len(lines), n)
+	}
+	return keys, []byte(strings.Join(lines[:n], "") + lines[n][:cut])
+}
+
+// sameKeysFile fails unless the keys file got equals want byte for byte.
+func sameKeysFile(t *testing.T, label, want, got string) {
+	t.Helper()
+	w, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w, g) {
+		t.Errorf("%s keys diverge from the uninterrupted run's:\nwant:\n%s\ngot:\n%s", label, w, g)
+	}
+}
+
+// TestTornTailResumeThenMergeAndResume: a checkpoint that ends in a torn
+// append — two kill -9s in a row leave one — resumes, and the resumed run
+// appends after whole lines only: -merge of the same file and a second
+// -resume both load it and report the uninterrupted run's keys. Appending
+// after the fragment instead left a corrupt line before intact ones, which
+// both refused with exit 2.
+func TestTornTailResumeThenMergeAndResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-execs detection campaigns")
+	}
+	dir := t.TempDir()
+	ref, torn := checkpointPrefix(t, dir, 40, 7)
+	path := filepath.Join(dir, "torn.ckpt")
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, run := range []string{
+		updateCampaign + " -checkpoint " + path + " -resume -keys-out ",
+		"-merge -keys-out ",
+		updateCampaign + " -checkpoint " + path + " -resume -keys-out ",
+	} {
+		keys := filepath.Join(dir, fmt.Sprintf("keys%d.txt", i))
+		args := run + keys
+		if strings.HasPrefix(run, "-merge") {
+			args += " " + path
+		}
+		if code, out := runCLI(t, args); code != 1 {
+			t.Fatalf("%q exited %d, want 1 (seeded bug):\n%s", args, code, out)
+		}
+		sameKeysFile(t, args, ref, keys)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/pmemgo/xfdetector/internal/ckpt"
 	"github.com/pmemgo/xfdetector/internal/core"
 	"github.com/pmemgo/xfdetector/internal/pmem"
 	"github.com/pmemgo/xfdetector/internal/pmredis"
@@ -290,41 +291,55 @@ func realMain(args []string) int {
 	if *resume && *ckptPath == "" {
 		return errorf("-resume requires -checkpoint")
 	}
-	var ckptW *checkpointWriter
-	if *ckptPath != "" {
-		if *resume {
-			cp, err := loadCheckpoint(*ckptPath)
-			if err != nil {
-				return errorf("loading checkpoint: %v", err)
-			}
-			cfg.CompletedFailurePoints = cp.Done
-			cfg.SeedReports = cp.Seed
-		}
-		w, err := openCheckpoint(*ckptPath, *resume)
-		if err != nil {
-			return errorf("opening checkpoint: %v", err)
-		}
-		defer w.close()
-		ckptW = w
-		cfg.OnPostRunComplete = w.record
+	ckptLog, resumed, err := openCheckpoint(*ckptPath, *resume)
+	if err != nil {
+		return errorf("opening checkpoint: %v", err)
 	}
+	defer ckptLog.Close()
+	if *resume {
+		cp, err := ckpt.Fold(resumed, *ckptPath)
+		if err != nil {
+			return errorf("loading checkpoint: %v", err)
+		}
+		cfg.CompletedFailurePoints = cp.Done
+		cfg.SeedReports = cp.Seed
+	}
+	var verdicts *vcache.Binding
 	if cfg.Mode == core.ModeDetect && !*noPrune && !*noVCache {
 		// Cross-campaign verdict reuse. A daemon-scheduled shard (the
 		// -worker sets the env pair) fetches its campaign's cached verdicts
-		// from the daemon once; a standalone campaign consults the on-disk
-		// cache directly.
+		// from the daemon once, and the daemon learns from the lines it
+		// streams; a standalone campaign binds the on-disk cache itself.
 		url, lease := os.Getenv(serve.VerdictURLEnv), os.Getenv(serve.VerdictLeaseEnv)
 		switch {
 		case url != "" && lease != "":
-			cfg.Verdicts = serve.FetchLeaseVerdicts(&serve.Client{BaseURL: url}, lease)
+			// A failed fetch leaves no entries: every lookup misses.
+			cached, err := (&serve.Client{BaseURL: url}).FetchVerdicts(lease)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "xfdetector: fetching cached verdicts failed, running without them: %v\n", err)
+			}
+			cfg.Verdicts = cached
 		case *vcachePath != "":
 			vc, err := vcache.Open(*vcachePath)
 			if err != nil {
 				return errorf("opening verdict cache: %v", err)
 			}
 			defer vc.Close()
-			cfg.Verdicts = vc.Bind(programIdentity(*workload, *patch, *mode, *initSize,
+			verdicts = vc.Bind(programIdentity(*workload, *patch, *mode, *initSize,
 				*testSize, *updates, *updRounds, *removes, *poolMB, *maxFP, *postTimeout))
+			// A resumed campaign's checkpoint lines come first: a class its
+			// checkpoint covered keeps the reports of the representative
+			// that first ran it, not those of the resumed run's second
+			// representative, which omit what the checkpoint seeded.
+			for _, l := range resumed {
+				recordLine(nil, verdicts, l)
+			}
+			cfg.Verdicts = verdicts
+		}
+	}
+	if ckptLog != nil || verdicts != nil {
+		cfg.OnPostRunComplete = func(fp int, fpr uint64, fresh []core.Report) {
+			recordLine(ckptLog, verdicts, ckpt.Line{FP: fp, FPrint: fpr, Reports: fresh})
 		}
 	}
 	if *shards > 1 {
@@ -371,11 +386,12 @@ func realMain(args []string) int {
 		}
 		fmt.Fprintf(os.Stderr, "recorded %d failure point(s) to %s\n", res.FailurePoints, *recordPath)
 	}
-	if ckptW != nil && !res.Incomplete {
+	if ckptLog != nil && !res.Incomplete {
 		// The campaign over this checkpoint finished: record the summary
-		// line (failure-point total + pre-failure reports) that -merge
-		// needs to prove the union of shard checkpoints is complete.
-		ckptW.recordSummary(res, *shards)
+		// line (failure-point total, shard layout, bucket accounting and
+		// pre-failure reports) that -merge needs to prove the union of
+		// shard checkpoints is complete.
+		recordLine(ckptLog, nil, ckpt.Summary(res, *shards))
 	}
 	if *shards > 1 {
 		fmt.Fprintf(os.Stderr, "shard %d/%d: done — %d post-run(s), %d pruned, %d delegated, %d report(s)\n",

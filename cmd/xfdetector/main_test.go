@@ -135,16 +135,18 @@ func TestKillAndResume(t *testing.T) {
 }
 
 // TestTruncatedCheckpointTolerated: a torn trailing line (the write the
-// crash interrupted) is discarded on load instead of failing the resume.
+// crash interrupted) is discarded on load instead of failing the resume,
+// and cut from the file before the resumed run appends.
 func TestTruncatedCheckpointTolerated(t *testing.T) {
 	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "ckpt.jsonl")
-	if err := os.WriteFile(ckpt, []byte(`{"fp":0}
+	path := filepath.Join(dir, "ckpt.jsonl")
+	const intact = `{"fp":0}
 {"fp":1,"reports":[{"Class":0,"ReaderIP":"a.go:1","WriterIP":"b.go:2"}]}
-{"fp":2,"repor`), 0o644); err != nil {
+`
+	if err := os.WriteFile(path, []byte(intact+`{"fp":2,"repor`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := loadCheckpoint(ckpt)
+	cp, err := resumeState(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,22 +159,25 @@ func TestTruncatedCheckpointTolerated(t *testing.T) {
 	if cp.Total != -1 {
 		t.Errorf("total = %d, want -1 (no summary line)", cp.Total)
 	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != intact {
+		t.Errorf("checkpoint after the resume open = %q (err %v), want the torn line cut", data, err)
+	}
 }
 
 // TestFreshCheckpointRefusesExisting: without -resume, an existing
 // checkpoint must be an error, not a silent mixed campaign.
 func TestFreshCheckpointRefusesExisting(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	if err := os.WriteFile(ckpt, []byte(`{"fp":0}`+"\n"), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	if err := os.WriteFile(path, []byte(`{"fp":0}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openCheckpoint(ckpt, false); err == nil {
+	if _, _, err := openCheckpoint(path, false); err == nil {
 		t.Fatal("openCheckpoint overwrote an existing campaign")
 	}
-	if w, err := openCheckpoint(ckpt, true); err != nil {
+	if w, _, err := openCheckpoint(path, true); err != nil {
 		t.Fatalf("resume open failed: %v", err)
 	} else {
-		w.close()
+		w.Close()
 	}
 }
 

@@ -298,3 +298,36 @@ func TestSpawnVerdictCacheMatchesStandalone(t *testing.T) {
 		}
 	}
 }
+
+// TestResumedCampaignCachesSeededReports: a campaign resumed under
+// -verdict-cache feeds the cache its checkpoint's lines first, so a class
+// the checkpoint covered keeps the reports of the representative that
+// first ran it. Storing the resumed run's second representative instead —
+// whose reports omit what the checkpoint seeded — made a warm rerun of U′
+// report one key of two.
+func TestResumedCampaignCachesSeededReports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-execs detection campaigns")
+	}
+	dir := t.TempDir()
+	cold, prefix := checkpointPrefix(t, dir, 40, 0)
+	path, cache := filepath.Join(dir, "resumed.ckpt"), filepath.Join(dir, "verdicts.cache")
+	if err := os.WriteFile(path, prefix, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := runCLI(t, updateCampaign+" -checkpoint "+path+" -resume -verdict-cache "+cache); code != 1 {
+		t.Fatalf("resumed run exited %d, want 1 (seeded bug):\n%s", code, out)
+	}
+	warm := filepath.Join(dir, "warm.txt")
+	code, out := runCLI(t, updateCampaign+" -verdict-cache "+cache+" -keys-out "+warm)
+	if code != 1 {
+		t.Fatalf("warm run exited %d, want 1 (seeded bug):\n%s", code, out)
+	}
+	if hits := extract(t, cacheHitsRe, out); hits == 0 {
+		t.Errorf("warm run reports no cache hits:\n%s", out)
+	}
+	sameKeysFile(t, "warm run", cold, warm)
+	if keys, _ := os.ReadFile(cold); bytes.Count(keys, []byte("\n")) != 2 {
+		t.Errorf("U′ reports %q, want two keys", keys)
+	}
+}

@@ -4,16 +4,21 @@
 // recording the campaign's failure-point total and its per-bucket
 // accounting once the campaign completes.
 //
-// The same JSONL stream serves three roles: the on-disk crash-recovery
+// The same JSONL stream serves four roles: the on-disk crash-recovery
 // checkpoint (-checkpoint/-resume), the merge input (-merge, and a -spawn
-// fleet interrupted by ^C), and the wire format a -worker streams back to
-// a -serve daemon. Parsing is therefore deliberately forgiving about
-// exactly one thing — a torn trailing line, the write a crash interrupted —
-// and strict about everything else.
+// fleet interrupted by ^C), the wire format a -worker streams back to a
+// -serve daemon, and the verdict cache's entries (internal/vcache), which
+// are checkpoint lines stamped with their campaign identity. Parsing is
+// therefore deliberately forgiving about exactly one thing — a torn
+// trailing line, the write a crash interrupted — and strict about
+// everything else. Every file in this format is written through one Log,
+// which cuts such a tail before it appends, so a torn write is only ever
+// the last line of a file.
 package ckpt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -43,9 +48,15 @@ type Line struct {
 	// FPrint is the failure point's crash-state fingerprint, set on
 	// per-point lines by pruning runs (zero under -no-prune, on members of
 	// a dirty class, whose outcomes speak only for themselves, and on
-	// legacy checkpoints, all of which still parse). The -serve daemon
-	// caches a clean class from the first line carrying its fingerprint.
+	// legacy checkpoints, all of which still parse). A campaign's verdict
+	// cache binding (internal/vcache) caches a clean class from the first
+	// line carrying its fingerprint.
 	FPrint uint64 `json:"fpr,omitempty"`
+	// ID is set only on verdict-cache lines: the identity of the campaign
+	// whose line it is. Cache files written before entries were
+	// checkpoint lines hold {"id","fpr","reports"} objects, which parse
+	// as lines of failure point 0.
+	ID uint64 `json:"id,omitempty"`
 	// Total and Shards are only set on the summary line: the campaign's
 	// failure-point count and the shard layout that wrote it (0 when the
 	// campaign was not sharded).
@@ -70,24 +81,20 @@ type Line struct {
 	Pruned  int `json:"pruned,omitempty"`
 	// The remaining disjoint failure-point buckets of the writing run,
 	// only set on the summary line: together with Pruned they satisfy
-	// PostRuns + Pruned + OtherShard + Resumed + Skipped == Total, the
-	// invariant every run upholds, so a merge can sum real buckets
-	// instead of guessing. Abandoned post-runs are a subset of PostRuns
-	// (each also reports a PostFailureFault), carried for visibility.
-	// Checkpoints from before these fields parse as all-zero buckets; the
-	// merger then falls back to attributing covered points to PostRuns.
+	// PostRuns + Pruned + CacheHits + OtherShard + Resumed + Skipped ==
+	// Total, the invariant every run upholds, so a merge can sum real
+	// buckets instead of guessing. CacheHits are the failure points
+	// attributed from a previous campaign's verdict cache. Abandoned
+	// post-runs are a subset of PostRuns (each also reports a
+	// PostFailureFault), carried for visibility. Checkpoints from before
+	// these fields parse as all-zero buckets, and the cross_shard bucket
+	// of checkpoints from before class sharding is ignored; the merger
+	// attributes the covered points those leave unaccounted to PostRuns.
 	PostRuns   int `json:"post_runs,omitempty"`
 	OtherShard int `json:"other_shard,omitempty"`
 	Resumed    int `json:"resumed,omitempty"`
 	Skipped    int `json:"skipped,omitempty"`
 	Abandoned  int `json:"abandoned,omitempty"`
-	// CrossShard and CacheHits extend the bucket invariant for verdict
-	// reuse: failure points attributed from another shard's clean class
-	// representative (written only by campaigns from before class
-	// sharding, which still merge) and from a previous campaign's on-disk
-	// verdict cache. PostRuns + Pruned + CrossShard + CacheHits +
-	// OtherShard + Resumed + Skipped == Total.
-	CrossShard int `json:"cross_shard,omitempty"`
 	CacheHits  int `json:"cache_hits,omitempty"`
 }
 
@@ -126,7 +133,6 @@ func Summary(res *core.Result, shards int) Line {
 		Resumed:         res.ResumedFailurePoints,
 		Skipped:         res.SkippedFailurePoints,
 		Abandoned:       res.AbandonedPostRuns,
-		CrossShard:      res.CrossShardPrunedFailurePoints,
 		CacheHits:       res.CacheHitFailurePoints,
 	}
 	for _, rep := range res.Reports {
@@ -143,10 +149,10 @@ func Summary(res *core.Result, shards int) Line {
 // trailing newline. A final unterminated fragment is delivered too. fn
 // returning an error stops the scan and returns that error.
 //
-// This is the line reader for checkpoint files and streams — resume
-// loads, merge loads — and for the worker forwarding shard progress
-// (which truncates for display with Truncate rather than capping the
-// read). The worker's checkpoint stream batches lines itself.
+// The worker forwards shard progress through it (truncating for display
+// with Truncate rather than capping the read); checkpoint data is parsed
+// by Read and Parse, and the worker's checkpoint stream batches lines
+// itself.
 func ForEachLine(r io.Reader, fn func(line string) error) error {
 	br := bufio.NewReaderSize(r, 64<<10)
 	for {
@@ -187,35 +193,40 @@ func Truncate(s string, max int) string {
 // merged campaign under-count completed failure points, so it is an
 // error. name labels error messages (a path, a shard, "<stdin>").
 func Read(r io.Reader, name string) ([]Line, error) {
-	var raw []string
-	err := ForEachLine(r, func(line string) error {
-		raw = append(raw, line)
-		return nil
-	})
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	lines, _, err := Parse(data, name)
+	return lines, err
+}
 
-	last := len(raw) - 1
-	for last >= 0 && strings.TrimSpace(raw[last]) == "" {
-		last--
-	}
+// Parse is Read over bytes. It also returns how many leading bytes of data
+// hold those lines whole: a Log cuts a file back to them before its first
+// append, and the -serve daemon appends exactly them of a streamed chunk.
+// The count ends at a newline unless the last line parsed without one.
+func Parse(data []byte, name string) ([]Line, int, error) {
 	var lines []Line
-	for i, s := range raw {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
+	keep := 0
+	for off, n := 0, 1; off < len(data); n++ {
+		end, next := len(data), len(data)
+		if i := bytes.IndexByte(data[off:], '\n'); i >= 0 {
+			end, next = off+i, off+i+1
 		}
-		var l Line
-		if err := json.Unmarshal([]byte(s), &l); err != nil {
-			if i == last {
-				break // torn tail from the crash; rerun from here
+		if s := bytes.TrimSpace(data[off:end]); len(s) > 0 {
+			var l Line
+			if err := json.Unmarshal(s, &l); err != nil {
+				if len(bytes.TrimSpace(data[next:])) == 0 {
+					break // torn tail from the crash; rerun from here
+				}
+				return nil, 0, fmt.Errorf("%s:%d: corrupt checkpoint line before intact ones (not a torn tail): %v", name, n, err)
 			}
-			return nil, fmt.Errorf("%s:%d: corrupt checkpoint line before intact ones (not a torn tail): %v", name, i+1, err)
+			lines = append(lines, l)
+			keep = next
 		}
-		lines = append(lines, l)
+		off = next
 	}
-	return lines, nil
+	return lines, keep, nil
 }
 
 // ReadFile reads the named checkpoint; a missing file is an empty

@@ -229,7 +229,7 @@ func TestMergerLegacyFallback(t *testing.T) {
 
 // TestMergerMixedEraCheckpoints: a legacy bucket-less, fingerprint-less
 // checkpoint merged with a new-era one carrying fingerprints and the
-// cross-shard/cache-hit buckets must still satisfy the coverage invariant;
+// cache-hit bucket must still satisfy the coverage invariant;
 // a gap in the union must still come out Incomplete (the CLI's exit 3)
 // regardless of which era covered the surrounding points.
 func TestMergerMixedEraCheckpoints(t *testing.T) {
@@ -246,14 +246,14 @@ func TestMergerMixedEraCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		// New-era shard: fingerprint-bearing lines, full buckets including
-		// the verdict-sharing ones.
+		// the verdict cache's.
 		for _, fp := range coverNewEra {
 			if err := m.Add("new", Line{FP: fp, FPrint: 0xdeadbeef + uint64(fp)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s := Line{FP: SummaryFP, Total: 6, PostRuns: 1, Pruned: 1,
-			CrossShard: 1, CacheHits: 1, OtherShard: 2}
+		s := Line{FP: SummaryFP, Total: 6, PostRuns: 2, Pruned: 1,
+			CacheHits: 1, OtherShard: 2}
 		if err := m.Add("new", s); err != nil {
 			t.Fatal(err)
 		}
@@ -264,14 +264,13 @@ func TestMergerMixedEraCheckpoints(t *testing.T) {
 	if res.Incomplete {
 		t.Fatalf("full mixed-era union came out incomplete: %s", res.IncompleteReason)
 	}
-	if res.CrossShardPrunedFailurePoints != 1 || res.CacheHitFailurePoints != 1 {
-		t.Errorf("merged verdict buckets: cross-shard=%d cache-hits=%d, want 1 and 1",
-			res.CrossShardPrunedFailurePoints, res.CacheHitFailurePoints)
+	if res.CacheHitFailurePoints != 1 {
+		t.Errorf("merged cache hits = %d, want 1", res.CacheHitFailurePoints)
 	}
 	// Legacy's 2 covered points are unaccounted by its bucket-less summary
-	// and fall back to PostRuns: 1 (new) + 2 (fallback) = 3.
-	if res.PostRuns != 3 {
-		t.Errorf("merged post-runs = %d, want 3 (1 summed + 2 legacy fallback)", res.PostRuns)
+	// and fall back to PostRuns: 2 (new) + 2 (fallback) = 4.
+	if res.PostRuns != 4 {
+		t.Errorf("merged post-runs = %d, want 4 (2 summed + 2 legacy fallback)", res.PostRuns)
 	}
 	if got := res.BucketedFailurePoints(); got != res.FailurePoints {
 		t.Errorf("bucket invariant broken on the mixed-era union: buckets sum to %d, %d failure points",
@@ -290,21 +289,20 @@ func TestMergerMixedEraCheckpoints(t *testing.T) {
 }
 
 // TestSummaryCarriesVerdictBuckets: the fp=-1 summary round-trips the
-// cross-shard and cache-hit buckets and keeps the extended invariant.
+// cache-hit bucket and keeps the extended invariant.
 func TestSummaryCarriesVerdictBuckets(t *testing.T) {
 	res := &core.Result{
-		FailurePoints:                 12,
-		PostRuns:                      3,
-		PrunedFailurePoints:           2,
-		CrossShardPrunedFailurePoints: 4,
-		CacheHitFailurePoints:         2,
-		ResumedFailurePoints:          1,
+		FailurePoints:         8,
+		PostRuns:              3,
+		PrunedFailurePoints:   2,
+		CacheHitFailurePoints: 2,
+		ResumedFailurePoints:  1,
 	}
 	line := Summary(res, 3)
-	if line.CrossShard != 4 || line.CacheHits != 2 {
-		t.Fatalf("summary carries cross_shard=%d cache_hits=%d, want 4 and 2", line.CrossShard, line.CacheHits)
+	if line.CacheHits != 2 {
+		t.Fatalf("summary carries cache_hits=%d, want 2", line.CacheHits)
 	}
-	sum := line.PostRuns + line.Pruned + line.CrossShard + line.CacheHits +
+	sum := line.PostRuns + line.Pruned + line.CacheHits +
 		line.OtherShard + line.Resumed + line.Skipped
 	if sum != line.Total {
 		t.Fatalf("extended summary buckets sum to %d, total is %d", sum, line.Total)

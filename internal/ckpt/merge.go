@@ -104,10 +104,12 @@ func (m *Merger) Reports() []core.Report {
 
 // Result snapshots the merged campaign. The failure-point buckets are the
 // sums of the per-source summaries; covered points beyond what the
-// summaries account for (sources whose final incarnation never completed,
-// or pre-bucket legacy checkpoints) fall back to PostRuns — each such
-// point's line was durably recorded by a real post-run — and points
-// covered by nobody land in SkippedFailurePoints with Incomplete set.
+// summaries account for fall back to PostRuns — each such point's line
+// was durably recorded — and points covered by nobody land in
+// SkippedFailurePoints with Incomplete set. Such points come from sources
+// whose final incarnation never completed, from pre-bucket legacy
+// checkpoints, and from the cross_shard bucket that checkpoints from
+// before class sharding carry and this merger ignores.
 // OtherShardFailurePoints is always 0: a merged campaign has no other
 // shards; every delegated point is somebody's own point in the union.
 func (m *Merger) Result(target string) *core.Result {
@@ -119,13 +121,12 @@ func (m *Merger) Result(target string) *core.Result {
 	for _, s := range m.sources {
 		res.PostRuns += s.PostRuns
 		res.PrunedFailurePoints += s.Pruned
-		res.CrossShardPrunedFailurePoints += s.CrossShard
 		res.CacheHitFailurePoints += s.CacheHits
 		res.ResumedFailurePoints += s.Resumed
 		res.SkippedFailurePoints += s.Skipped
 		res.CrashStateClasses += s.Classes
 		res.AbandonedPostRuns += s.Abandoned
-		accounted += s.PostRuns + s.Pruned + s.CrossShard + s.CacheHits + s.Resumed
+		accounted += s.PostRuns + s.Pruned + s.CacheHits + s.Resumed
 	}
 	if extra := len(m.done) - accounted; extra > 0 {
 		res.PostRuns += extra

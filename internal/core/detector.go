@@ -138,18 +138,18 @@ type Config struct {
 	// for a member of a dirty class, whose outcome speaks only for
 	// itself), and the reports that post-run newly added. A faulted
 	// post-run's PostFailureFault is always among them, even when an
-	// earlier failure point already reported the same message: a -serve
-	// daemon reads a class verdict off its representative's checkpoint
-	// line. Calls are serialized but may come from sibling goroutines
-	// under Workers > 1.
+	// earlier failure point already reported the same message: a verdict
+	// cache reads a class verdict off its representative's checkpoint
+	// line (vcache.Binding). Calls are serialized but may come from sibling
+	// goroutines under Workers > 1.
 	OnPostRunComplete func(failurePoint int, fingerprint uint64, fresh []Report)
 	// Verdicts, if set, is a cache of clean crash-state class verdicts
 	// from previous campaigns of the identical program (see
 	// VerdictSource): the first member of each class this run owns looks
-	// its fingerprint up before becoming the representative, attributed
-	// points land in Result.CacheHitFailurePoints, and every clean
-	// representative's reports are stored back. Requires pruning (ignored
-	// under DisablePruning or outside ModeDetect).
+	// its fingerprint up before becoming the representative, and attributed
+	// points land in Result.CacheHitFailurePoints. The run stores nothing:
+	// the cache learns from the OnPostRunComplete lines. Requires pruning
+	// (ignored under DisablePruning or outside ModeDetect).
 	Verdicts VerdictSource
 	// ShardCount/ShardIndex partition a campaign across cooperating
 	// processes. Under pruning, shard i owns the crash-state classes whose
@@ -843,7 +843,9 @@ func (r *runner) runPost(fpID int, fpr uint64, rep bool) {
 		r.finishPost(fpID, fpr, out)
 	}
 	if rep {
-		r.resolveClass(fpr, out.clean(), out.fresh)
+		// The verdict is final: a clean class prunes its later members, a
+		// dirty one runs them.
+		r.classes[fpr] = out.clean()
 	}
 }
 

@@ -137,7 +137,7 @@ func (o postOutcome) clean() bool {
 // against a clean class, or answered from the verdict cache. Otherwise the
 // point belongs to a dirty class and runs like an unpruned one, with a
 // zero fingerprint: its outcome is its own and must not speak for the
-// class. (A -serve daemon caches a class from the first line carrying its
+// class. (A verdict cache caches a class from the first line carrying its
 // fingerprint; after a quarantined representative, which writes no line, a
 // member's clean line would otherwise cache the class with reports that
 // miss what the void attempts observed.) Callers hold sinkMu.
@@ -173,16 +173,4 @@ func (r *runner) enterClass(fpID int, fpr uint64) (rep bool, fp uint64, handled 
 	}
 	r.classesTested++
 	return true, fpr, false
-}
-
-// resolveClass records a representative's verdict on class fpr. The
-// verdict is final: a clean class prunes its later members, a dirty one
-// runs them. A clean representative's reports are stored in the run's
-// VerdictSource, after the representative checkpointed, preserving the
-// attribute-only-after-coverage ordering.
-func (r *runner) resolveClass(fpr uint64, clean bool, fresh []Report) {
-	r.classes[fpr] = clean
-	if clean && r.cfg.Verdicts != nil {
-		r.cfg.Verdicts.Store(fpr, fresh)
-	}
 }

@@ -186,16 +186,16 @@ type Result struct {
 	// CrashStateClasses.
 	CrashStateClasses   int
 	PrunedFailurePoints int
-	// CrossShardPrunedFailurePoints is always zero in a run: it counts
-	// failure points attributed from another shard's class representative,
-	// which class sharding made unnecessary. Merges of checkpoints written
-	// before class sharding still carry it. CacheHitFailurePoints counts
-	// failure points attributed from a previous campaign's verdict cache
-	// (Config.Verdicts); it is disjoint from PrunedFailurePoints: only the
-	// first member of a class consults the cache, and later members of the
-	// same class land in the pruned bucket.
+	// CacheHitFailurePoints counts failure points attributed from a
+	// previous campaign's verdict cache (Config.Verdicts); it is disjoint
+	// from PrunedFailurePoints: only the first member of a class consults
+	// the cache, and later members of the same class land in the pruned
+	// bucket.
+	CacheHitFailurePoints int
+	// CrossShardPrunedFailurePoints is always zero and in no bucket sum:
+	// class sharding left no verdict to attribute across shards. It stays
+	// only for the benchmark module, which still reads it.
 	CrossShardPrunedFailurePoints int
-	CacheHitFailurePoints         int
 	// PreEntries and PostEntries count traced operations per stage.
 	PreEntries  int
 	PostEntries int
@@ -281,13 +281,13 @@ func (r *Result) PreTrace() *trace.Trace { return r.trace }
 // BucketedFailurePoints sums the disjoint per-failure-point buckets. For
 // every run — and for every honest merge of runs — it equals
 // FailurePoints: each injected point lands in exactly one of post-run,
-// pruned-as-class-member, delegated-to-another-shard, reused-from-a-
-// checkpoint, or skipped. The merge paths and the accounting tests assert
-// this invariant instead of trusting any single bucket.
+// pruned-as-class-member, answered-from-the-verdict-cache,
+// delegated-to-another-shard, reused-from-a-checkpoint, or skipped. The
+// merge paths and the accounting tests assert this invariant instead of
+// trusting any single bucket.
 func (r *Result) BucketedFailurePoints() int {
-	return r.PostRuns + r.PrunedFailurePoints + r.CrossShardPrunedFailurePoints +
-		r.CacheHitFailurePoints + r.OtherShardFailurePoints +
-		r.ResumedFailurePoints + r.SkippedFailurePoints
+	return r.PostRuns + r.PrunedFailurePoints + r.CacheHitFailurePoints +
+		r.OtherShardFailurePoints + r.ResumedFailurePoints + r.SkippedFailurePoints
 }
 
 // Count returns the number of reports of the given class.
@@ -343,10 +343,6 @@ func (r *Result) String() string {
 	if r.CrashStateClasses > 0 || r.PrunedFailurePoints > 0 {
 		fmt.Fprintf(&b, "pruning: %d crash-state class(es) tested, %d member failure point(s) skipped\n",
 			r.CrashStateClasses, r.PrunedFailurePoints)
-	}
-	if r.CrossShardPrunedFailurePoints > 0 {
-		fmt.Fprintf(&b, "cross-shard: %d failure point(s) attributed from other shards' representatives\n",
-			r.CrossShardPrunedFailurePoints)
 	}
 	if r.CacheHitFailurePoints > 0 {
 		fmt.Fprintf(&b, "verdict cache: %d failure point(s) reused from a previous campaign\n",

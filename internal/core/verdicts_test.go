@@ -11,13 +11,10 @@ import (
 	"github.com/pmemgo/xfdetector/internal/trace"
 )
 
-// mapSource is a VerdictSource over an in-memory map: lookups answer from
-// it, and stores fill it (cold) or are counted and dropped (warm).
+// mapSource is a VerdictSource over an in-memory map.
 type mapSource struct {
 	mu       sync.Mutex
 	verdicts map[uint64][]Report
-	fill     bool
-	stores   int
 }
 
 func (s *mapSource) Lookup(fpr uint64) ([]Report, bool) {
@@ -27,35 +24,33 @@ func (s *mapSource) Lookup(fpr uint64) ([]Report, bool) {
 	return reps, ok
 }
 
-func (s *mapSource) Store(fpr uint64, reports []Report) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stores++
-	if s.fill {
-		s.verdicts[fpr] = append([]Report(nil), reports...)
-	}
-}
-
 // TestCachedVerdictsSeedReports: a run against a fully warm cache post-runs
 // nothing, lands every class in the CacheHits bucket, and still reports the
 // cold run's exact key set — the cached reports are re-seeded, not lost.
+// The cold run fills the cache the way a verdict cache learns: from the
+// first checkpoint line carrying each fingerprint (every class here is
+// clean).
 func TestCachedVerdictsSeedReports(t *testing.T) {
-	cache := &mapSource{verdicts: make(map[uint64][]Report), fill: true}
-	cold, err := Run(Config{Verdicts: cache}, manyFPTarget("vcache-cold"))
+	cache := &mapSource{verdicts: make(map[uint64][]Report)}
+	learn := func(_ int, fpr uint64, fresh []Report) {
+		if _, ok := cache.verdicts[fpr]; !ok && fpr != 0 {
+			cache.verdicts[fpr] = append([]Report(nil), fresh...)
+		}
+	}
+	cold, err := Run(Config{Verdicts: cache, OnPostRunComplete: learn}, manyFPTarget("vcache-cold"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cache.verdicts) == 0 || len(cache.verdicts) != cold.CrashStateClasses {
-		t.Fatalf("cold run stored %d class verdict(s), want one per class (%d)", len(cache.verdicts), cold.CrashStateClasses)
+		t.Fatalf("cold run's lines carry %d class fingerprint(s), want one per class (%d)", len(cache.verdicts), cold.CrashStateClasses)
 	}
 
-	cache.fill, cache.stores = false, 0
 	warm, err := Run(Config{Verdicts: cache}, manyFPTarget("vcache-warm"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.PostRuns != 0 || cache.stores != 0 {
-		t.Errorf("warm run post-ran %d classes and stored %d, want 0 and 0 (everything cached)", warm.PostRuns, cache.stores)
+	if warm.PostRuns != 0 {
+		t.Errorf("warm run post-ran %d classes, want 0 (everything cached)", warm.PostRuns)
 	}
 	if warm.CacheHitFailurePoints != cold.CrashStateClasses {
 		t.Errorf("cache hits = %d, want one per class (%d)", warm.CacheHitFailurePoints, cold.CrashStateClasses)
@@ -65,24 +60,6 @@ func TestCachedVerdictsSeedReports(t *testing.T) {
 	}
 	if !equalKeys(sortedKeys(warm), sortedKeys(cold)) {
 		t.Errorf("warm keys diverge from cold:\nwarm: %v\ncold: %v", sortedKeys(warm), sortedKeys(cold))
-	}
-}
-
-// TestDirtyClassesNeverStored: a representative whose post-run faults
-// poisons its class, and a poisoned class is never handed to the cache —
-// a later campaign must run it again.
-func TestDirtyClassesNeverStored(t *testing.T) {
-	target := manyFPTarget("dirty-store")
-	target.Post = func(*Ctx) error { return errors.New("recovery refused the pool") }
-	for _, workers := range []int{1, 2} {
-		cache := &mapSource{verdicts: make(map[uint64][]Report), fill: true}
-		res, err := Run(Config{Workers: workers, Verdicts: cache}, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.PostRuns == 0 || cache.stores != 0 {
-			t.Errorf("workers=%d: %d post-run(s), %d store(s); want post-runs and no stores", workers, res.PostRuns, cache.stores)
-		}
 	}
 }
 

@@ -95,7 +95,10 @@ func CheckSeed(seed int64, knob Knob) error {
 //   - ModeDetect as a cold+warm campaign pair sharing an on-disk verdict
 //     cache (internal/vcache): both runs reproduce the oracle's key set,
 //     the warm run's cache hits equal the entries the cold run persisted
-//     and its post-runs shrink by exactly that count;
+//     and its post-runs shrink by exactly that count; and again with a
+//     cold run resumed from the first half of the cold run's checkpoint
+//     lines, fed to its cache first: it caches as many classes, and its
+//     warm rerun reproduces the oracle's key set;
 //   - ModeDetect replayed from a recorded pre-failure artifact
 //     (internal/record): sequential, three-shard and deep-jump-resume
 //     replays must reproduce the oracle's key set (or the full-trace
@@ -202,16 +205,10 @@ func CheckProgram(p Program) error {
 	base := prunedResults[0]
 	for i, res := range prunedResults[1:] {
 		name := prunedCfgs[i+1].name
-		if err := compare(p, name, "pruned-post-runs",
-			fmt.Sprint(base.PostRuns), fmt.Sprint(res.PostRuns)); err != nil {
-			return err
-		}
-		if err := compare(p, name, "pruned-failure-points",
-			fmt.Sprint(base.PrunedFailurePoints), fmt.Sprint(res.PrunedFailurePoints)); err != nil {
-			return err
-		}
-		if err := compare(p, name, "crash-state-classes",
-			fmt.Sprint(base.CrashStateClasses), fmt.Sprint(res.CrashStateClasses)); err != nil {
+		if err := compare(p, name,
+			"pruned-post-runs", base.PostRuns, res.PostRuns,
+			"pruned-failure-points", base.PrunedFailurePoints, res.PrunedFailurePoints,
+			"crash-state-classes", base.CrashStateClasses, res.CrashStateClasses); err != nil {
 			return err
 		}
 	}
@@ -239,13 +236,10 @@ func CheckProgram(p Program) error {
 	if err != nil {
 		return err
 	}
-	if err := compare(p, "trace-only", "reports", "", joinKeys(traceOnly)); err != nil {
-		return err
-	}
-	if err := compare(p, "trace-only", "failure-points", "0", fmt.Sprint(traceOnly.FailurePoints)); err != nil {
-		return err
-	}
-	if err := compare(p, "trace-only", "pre-entries", fmt.Sprint(want.OpEntries), fmt.Sprint(traceOnly.PreEntries)); err != nil {
+	if err := compare(p, "trace-only",
+		"reports", "", joinKeys(traceOnly),
+		"failure-points", 0, traceOnly.FailurePoints,
+		"pre-entries", want.OpEntries, traceOnly.PreEntries); err != nil {
 		return err
 	}
 
@@ -253,13 +247,7 @@ func CheckProgram(p Program) error {
 	if err != nil {
 		return err
 	}
-	if err := compare(p, "original", "reports", "", joinKeys(orig)); err != nil {
-		return err
-	}
-	if err := compare(p, "original", "pre-entries", "0", fmt.Sprint(orig.PreEntries)); err != nil {
-		return err
-	}
-	return nil
+	return compare(p, "original", "reports", "", joinKeys(orig), "pre-entries", 0, orig.PreEntries)
 }
 
 // checkPruned runs p with crash-state pruning enabled (the default
@@ -278,31 +266,15 @@ func checkPruned(p Program, config string, want *OracleResult, cfg core.Config) 
 	if err != nil {
 		return nil, fmt.Errorf("fuzzgen: %q: harness error: %w", p.Name, err)
 	}
-	if err := compare(p, config, "keys", strings.Join(want.Keys, " ; "), joinKeys(res)); err != nil {
+	if err := compare(p, config,
+		"keys", strings.Join(want.Keys, " ; "), joinKeys(res),
+		"failure-points", want.FailurePoints, res.FailurePoints,
+		"pre-entries", want.PreEntries, res.PreEntries,
+		"post-run-accounting", res.FailurePoints, res.PostRuns+res.PrunedFailurePoints); err != nil {
 		return nil, err
 	}
-	if err := compare(p, config, "failure-points",
-		fmt.Sprint(want.FailurePoints), fmt.Sprint(res.FailurePoints)); err != nil {
+	if err := checkDigestsPredicted(p, config, want, log); err != nil {
 		return nil, err
-	}
-	if err := compare(p, config, "pre-entries",
-		fmt.Sprint(want.PreEntries), fmt.Sprint(res.PreEntries)); err != nil {
-		return nil, err
-	}
-	if err := compare(p, config, "post-run-accounting",
-		fmt.Sprint(res.FailurePoints),
-		fmt.Sprint(res.PostRuns+res.PrunedFailurePoints)); err != nil {
-		return nil, err
-	}
-	predicted := make(map[string]bool, len(want.PostReads))
-	for _, d := range want.PostReads {
-		predicted[d] = true
-	}
-	for _, d := range log.Canonical() {
-		if !predicted[d] {
-			return nil, &Mismatch{Program: p, Config: config, Field: "post-read-bytes",
-				Want: strings.Join(want.PostReads, " ; "), Got: d}
-		}
 	}
 	return res, nil
 }
@@ -402,30 +374,26 @@ func ResultKeys(res *core.Result) []string {
 
 func joinKeys(res *core.Result) string { return strings.Join(ResultKeys(res), " ; ") }
 
-func compare(p Program, config, field, want, got string) error {
-	if want == got {
-		return nil
+// compare checks its field, want, got triples in order and returns a
+// Mismatch for the first whose want and got print differently.
+func compare(p Program, config string, fieldWantGot ...any) error {
+	for i := 0; i+2 < len(fieldWantGot); i += 3 {
+		want, got := fmt.Sprint(fieldWantGot[i+1]), fmt.Sprint(fieldWantGot[i+2])
+		if want != got {
+			return &Mismatch{Program: p, Config: config, Field: fmt.Sprint(fieldWantGot[i]), Want: want, Got: got}
+		}
 	}
-	return &Mismatch{Program: p, Config: config, Field: field, Want: want, Got: got}
+	return nil
 }
 
 func compareFull(p Program, config string, want *OracleResult, res *core.Result) error {
-	if err := compare(p, config, "keys", strings.Join(want.Keys, " ; "), joinKeys(res)); err != nil {
-		return err
-	}
-	if err := compare(p, config, "failure-points", fmt.Sprint(want.FailurePoints), fmt.Sprint(res.FailurePoints)); err != nil {
-		return err
-	}
-	if err := compare(p, config, "post-runs", fmt.Sprint(want.PostRuns), fmt.Sprint(res.PostRuns)); err != nil {
-		return err
-	}
-	if err := compare(p, config, "benign-bytes", fmt.Sprint(want.Benign), fmt.Sprint(res.BenignReads)); err != nil {
-		return err
-	}
-	if err := compare(p, config, "pre-entries", fmt.Sprint(want.PreEntries), fmt.Sprint(res.PreEntries)); err != nil {
-		return err
-	}
-	return compare(p, config, "post-entries", fmt.Sprint(want.PostEntries), fmt.Sprint(res.PostEntries))
+	return compare(p, config,
+		"keys", strings.Join(want.Keys, " ; "), joinKeys(res),
+		"failure-points", want.FailurePoints, res.FailurePoints,
+		"post-runs", want.PostRuns, res.PostRuns,
+		"benign-bytes", want.Benign, res.BenignReads,
+		"pre-entries", want.PreEntries, res.PreEntries,
+		"post-entries", want.PostEntries, res.PostEntries)
 }
 
 // Minimize greedily shrinks a mismatching program while CheckProgram still

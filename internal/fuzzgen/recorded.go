@@ -56,8 +56,7 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 	if err != nil {
 		return err
 	}
-	if err := compare(p, "recorded", "failure-points",
-		fmt.Sprint(want.FailurePoints), fmt.Sprint(len(a.FPs))); err != nil {
+	if err := compare(p, "recorded", "failure-points", want.FailurePoints, len(a.FPs)); err != nil {
 		return err
 	}
 
@@ -67,20 +66,11 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 	if err != nil {
 		return replayMismatch(p, "recorded", fmt.Errorf("fuzzgen: %q: replay: %w", p.Name, err))
 	}
-	if err := compare(p, "recorded", "keys",
-		strings.Join(want.Keys, " ; "), joinKeys(res)); err != nil {
-		return err
-	}
-	if err := compare(p, "recorded", "post-runs",
-		fmt.Sprint(base.PostRuns), fmt.Sprint(res.PostRuns)); err != nil {
-		return err
-	}
-	if err := compare(p, "recorded", "pruned-failure-points",
-		fmt.Sprint(base.PrunedFailurePoints), fmt.Sprint(res.PrunedFailurePoints)); err != nil {
-		return err
-	}
-	if err := compare(p, "recorded", "bucket-accounting",
-		fmt.Sprint(res.FailurePoints), fmt.Sprint(res.BucketedFailurePoints())); err != nil {
+	if err := compare(p, "recorded",
+		"keys", strings.Join(want.Keys, " ; "), joinKeys(res),
+		"post-runs", base.PostRuns, res.PostRuns,
+		"pruned-failure-points", base.PrunedFailurePoints, res.PrunedFailurePoints,
+		"bucket-accounting", res.FailurePoints, res.BucketedFailurePoints()); err != nil {
 		return err
 	}
 	if err := checkDigestsPredicted(p, "recorded", want, log); err != nil {
@@ -102,13 +92,12 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 			return replayMismatch(p, "recorded-shards", fmt.Errorf("fuzzgen: %q: replay shard %d: %w", p.Name, idx, err))
 		}
 		if err := compare(p, "recorded-shards", fmt.Sprintf("shard%d-bucket-accounting", idx),
-			fmt.Sprint(res.FailurePoints), fmt.Sprint(res.BucketedFailurePoints())); err != nil {
+			res.FailurePoints, res.BucketedFailurePoints()); err != nil {
 			return err
 		}
 		results = append(results, res)
 	}
-	if err := compare(p, "recorded-shards", "keys",
-		strings.Join(want.Keys, " ; "), unionKeys(results...)); err != nil {
+	if err := compare(p, "recorded-shards", "keys", strings.Join(want.Keys, " ; "), unionKeys(results...)); err != nil {
 		return err
 	}
 	if err := checkDigestsPredicted(p, "recorded-shards", want, shardLog); err != nil {
@@ -140,19 +129,11 @@ func checkRecorded(p Program, want *OracleResult, base *core.Result) error {
 	if err != nil {
 		return replayMismatch(p, "recorded-resume", fmt.Errorf("fuzzgen: %q: resume replay: %w", p.Name, err))
 	}
-	if err := compare(p, "recorded-resume", "keys", joinKeys(live), joinKeys(replayed)); err != nil {
-		return err
-	}
-	if err := compare(p, "recorded-resume", "post-runs",
-		fmt.Sprint(live.PostRuns), fmt.Sprint(replayed.PostRuns)); err != nil {
-		return err
-	}
-	if err := compare(p, "recorded-resume", "resumed-failure-points",
-		fmt.Sprint(live.ResumedFailurePoints), fmt.Sprint(replayed.ResumedFailurePoints)); err != nil {
-		return err
-	}
-	return compare(p, "recorded-resume", "bucket-accounting",
-		fmt.Sprint(replayed.FailurePoints), fmt.Sprint(replayed.BucketedFailurePoints()))
+	return compare(p, "recorded-resume",
+		"keys", joinKeys(live), joinKeys(replayed),
+		"post-runs", live.PostRuns, replayed.PostRuns,
+		"resumed-failure-points", live.ResumedFailurePoints, replayed.ResumedFailurePoints,
+		"bucket-accounting", replayed.FailurePoints, replayed.BucketedFailurePoints())
 }
 
 // replayMismatch reports a replay that the fingerprint tripwire stopped as

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pmemgo/xfdetector/internal/ckpt"
 	"github.com/pmemgo/xfdetector/internal/core"
 	"github.com/pmemgo/xfdetector/internal/vcache"
 )
@@ -63,10 +64,19 @@ func TestStaleCacheMutationCaught(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, err := core.Run(core.Config{PoolSize: a.PoolSize, Verdicts: cache.Bind(idA)}, BuildTarget(a)); err != nil {
+		// Each campaign looks verdicts up under its own identity and
+		// feeds the cache its checkpoint lines, as -verdict-cache does.
+		cached := func(p Program, id uint64) core.Config {
+			verdicts := cache.Bind(id)
+			return core.Config{PoolSize: p.PoolSize, Verdicts: verdicts,
+				OnPostRunComplete: func(fp int, fpr uint64, fresh []core.Report) {
+					verdicts.Add(ckpt.Line{FP: fp, FPrint: fpr, Reports: fresh})
+				}}
+		}
+		if _, err := core.Run(cached(a, idA), BuildTarget(a)); err != nil {
 			return fmt.Errorf("fuzzgen: %q: harness error: %w", a.Name, err)
 		}
-		res, err := core.Run(core.Config{PoolSize: b.PoolSize, Verdicts: cache.Bind(idB)}, BuildTarget(b))
+		res, err := core.Run(cached(b, idB), BuildTarget(b))
 		if err != nil {
 			return fmt.Errorf("fuzzgen: %q: harness error: %w", b.Name, err)
 		}

@@ -2,12 +2,14 @@ package fuzzgen
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"github.com/pmemgo/xfdetector/internal/ckpt"
 	"github.com/pmemgo/xfdetector/internal/core"
 	"github.com/pmemgo/xfdetector/internal/vcache"
 )
@@ -88,93 +90,120 @@ func checkCrossShard(p Program, want *OracleResult, base *core.Result) error {
 			return fmt.Errorf("fuzzgen: %q: harness error: %w", p.Name, err)
 		}
 		if err := compare(p, "cross-shard", fmt.Sprintf("shard%d-bucket-accounting", idx),
-			fmt.Sprint(res.FailurePoints), fmt.Sprint(res.BucketedFailurePoints())); err != nil {
+			res.FailurePoints, res.BucketedFailurePoints()); err != nil {
 			return err
 		}
 		totalPost += res.PostRuns
 		totalClasses += res.CrashStateClasses
 		results = append(results, res)
 	}
-	if err := compare(p, "cross-shard", "keys",
-		strings.Join(want.Keys, " ; "), unionKeys(results...)); err != nil {
-		return err
-	}
-	if err := compare(p, "cross-shard", "total-post-runs",
-		fmt.Sprint(base.PostRuns), fmt.Sprint(totalPost)); err != nil {
-		return err
-	}
-	if err := compare(p, "cross-shard", "total-classes",
-		fmt.Sprint(base.CrashStateClasses), fmt.Sprint(totalClasses)); err != nil {
+	if err := compare(p, "cross-shard",
+		"keys", strings.Join(want.Keys, " ; "), unionKeys(results...),
+		"total-post-runs", base.PostRuns, totalPost,
+		"total-classes", base.CrashStateClasses, totalClasses); err != nil {
 		return err
 	}
 	return checkDigestsPredicted(p, "cross-shard", want, log)
 }
 
-// checkWarmCache runs p twice against one on-disk verdict cache — a cold
-// campaign that fills it and a warm one that reuses it — and verifies the
-// cross-campaign reuse is invisible: both runs report the oracle's exact
-// key set (the warm run re-seeds cached reports rather than losing them),
-// the warm run's buckets account for every failure point, its cache hits
-// equal the entries the cold run persisted, and its post-runs are exactly
-// the cold run's minus the cached classes.
+// checkWarmCache runs p against on-disk verdict caches and verifies that
+// cross-campaign reuse is invisible. A cold campaign fills one cache and a
+// warm one reuses it: both report the oracle's exact key set (the warm run
+// re-seeds cached reports rather than losing them), the warm run's buckets
+// account for every failure point, its cache hits equal the entries the
+// cold run persisted, and its post-runs are exactly the cold run's minus
+// the cached classes. Then a second cold campaign fills a fresh cache
+// while resuming from the first half of the cold run's lines, which its
+// binding sees first, as the CLI's -resume feeds them: it must cache
+// exactly as many classes as the cold run, and a warm run over its cache
+// must report the oracle's keys.
 func checkWarmCache(p Program, want *OracleResult, base *core.Result) error {
 	dir, err := os.MkdirTemp("", "xfdfuzz-vcache-")
 	if err != nil {
 		return fmt.Errorf("fuzzgen: %q: temp cache dir: %w", p.Name, err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "verdicts.cache")
 	id, err := programIdentity(p)
 	if err != nil {
 		return err
 	}
+	wantKeys := strings.Join(want.Keys, " ; ")
 
-	runWith := func(config string) (*core.Result, *PostReadLog, int, error) {
-		cache, err := vcache.Open(path)
+	// campaign runs p bound to the cache file name, resuming from resume,
+	// whose lines the binding admits before the run's own. It returns the
+	// run's result, post-read log, cache size and checkpoint lines.
+	campaign := func(config, name string, resume []ckpt.Line) (*core.Result, *PostReadLog, int, []ckpt.Line, error) {
+		cache, err := vcache.Open(filepath.Join(dir, name))
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("fuzzgen: %q: opening verdict cache: %w", p.Name, err)
+			return nil, nil, 0, nil, fmt.Errorf("fuzzgen: %q: opening verdict cache: %w", p.Name, err)
 		}
 		defer cache.Close()
-		log := &PostReadLog{}
-		cfg := core.Config{PoolSize: p.PoolSize, Verdicts: cache.Bind(id)}
-		res, err := core.Run(cfg, BuildTargetRecording(p, log))
+		verdicts := cache.Bind(id)
+		cp, err := ckpt.Fold(resume, config)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("fuzzgen: %q: %s: harness error: %w", p.Name, config, err)
+			return nil, nil, 0, nil, err
 		}
-		return res, log, cache.Len(), nil
+		var lines []ckpt.Line
+		var storeErr error
+		add := func(l ckpt.Line) { storeErr = errors.Join(storeErr, verdicts.Add(l)) }
+		for _, l := range resume {
+			add(l)
+		}
+		log := &PostReadLog{}
+		cfg := core.Config{PoolSize: p.PoolSize, Verdicts: verdicts,
+			CompletedFailurePoints: cp.Done, SeedReports: cp.Seed,
+			OnPostRunComplete: func(fp int, fpr uint64, fresh []core.Report) {
+				l := ckpt.Line{FP: fp, FPrint: fpr, Reports: fresh}
+				lines = append(lines, l)
+				add(l)
+			}}
+		res, err := core.Run(cfg, BuildTargetRecording(p, log))
+		if err = errors.Join(err, storeErr); err != nil {
+			return nil, nil, 0, nil, fmt.Errorf("fuzzgen: %q: %s: harness error: %w", p.Name, config, err)
+		}
+		return res, log, cache.Len(), lines, nil
 	}
 
-	cold, coldLog, cached, err := runWith("cold")
+	cold, coldLog, cached, lines, err := campaign("cold", "cold.cache", nil)
 	if err != nil {
 		return err
 	}
-	if err := compare(p, "warm-cache", "cold-keys",
-		strings.Join(want.Keys, " ; "), joinKeys(cold)); err != nil {
+	if err := compare(p, "warm-cache", "cold-keys", wantKeys, joinKeys(cold)); err != nil {
 		return err
 	}
 	if err := checkDigestsPredicted(p, "warm-cache(cold)", want, coldLog); err != nil {
 		return err
 	}
 
-	warm, warmLog, _, err := runWith("warm")
+	warm, warmLog, _, _, err := campaign("warm", "cold.cache", nil)
 	if err != nil {
 		return err
 	}
-	if err := compare(p, "warm-cache", "keys",
-		strings.Join(want.Keys, " ; "), joinKeys(warm)); err != nil {
+	if err := compare(p, "warm-cache",
+		"keys", wantKeys, joinKeys(warm),
+		"bucket-accounting", warm.FailurePoints, warm.BucketedFailurePoints(),
+		"cache-hits", cached, warm.CacheHitFailurePoints,
+		"post-runs", base.PostRuns-cached, warm.PostRuns); err != nil {
 		return err
 	}
-	if err := compare(p, "warm-cache", "bucket-accounting",
-		fmt.Sprint(warm.FailurePoints), fmt.Sprint(warm.BucketedFailurePoints())); err != nil {
+	if err := checkDigestsPredicted(p, "warm-cache", want, warmLog); err != nil {
 		return err
 	}
-	if err := compare(p, "warm-cache", "cache-hits",
-		fmt.Sprint(cached), fmt.Sprint(warm.CacheHitFailurePoints)); err != nil {
+
+	resumed, _, resumedCached, _, err := campaign("resumed", "resumed.cache", lines[:len(lines)/2])
+	if err != nil {
 		return err
 	}
-	if err := compare(p, "warm-cache", "post-runs",
-		fmt.Sprint(base.PostRuns-cached), fmt.Sprint(warm.PostRuns)); err != nil {
+	if err := compare(p, "warm-cache-resumed",
+		"cold-keys", wantKeys, joinKeys(resumed),
+		"cached-classes", cached, resumedCached); err != nil {
 		return err
 	}
-	return checkDigestsPredicted(p, "warm-cache", want, warmLog)
+	rewarm, _, _, _, err := campaign("resumed-warm", "resumed.cache", nil)
+	if err != nil {
+		return err
+	}
+	return compare(p, "warm-cache-resumed",
+		"keys", wantKeys, joinKeys(rewarm),
+		"bucket-accounting", rewarm.FailurePoints, rewarm.BucketedFailurePoints())
 }

@@ -106,13 +106,11 @@ type campaign struct {
 	state   string
 	failure string
 	result  *core.Result
-	// identity keys the daemon's cross-campaign verdict cache; noCache
-	// opts the campaign out of it (-no-verdict-cache in the submitted
-	// args). settled holds the fingerprints whose first line has landed:
-	// only that line may store its class (storeLineLocked).
-	identity uint64
-	noCache  bool
-	settled  map[uint64]bool
+	// verdicts is the campaign's binding to the daemon's cross-campaign
+	// verdict cache, keyed by the argv identity: it answers the shards'
+	// lookups and learns from their landed lines. nil when the daemon has
+	// no cache or the submitted args carry -no-verdict-cache.
+	verdicts *vcache.Binding
 	// recording is true while the daemon's record-once pass runs; the
 	// campaign's shards are not leased until it finishes. artifact is the
 	// recorded pre-failure artifact every shard replays ("" after a failed
@@ -127,6 +125,7 @@ type lease struct {
 	sh       *shardState
 	worker   string
 	deadline time.Time
+	log      *ckpt.Log // the shard's checkpoint, open from its first lines
 }
 
 // Server is the campaign daemon's state: campaigns in submission order, a
@@ -149,7 +148,8 @@ type Server struct {
 	// it): clean class verdicts read off any campaign's landed checkpoint
 	// lines are persisted keyed by (campaign argv identity, crash-state
 	// fingerprint) and handed to the shards of later campaigns with the
-	// same argv when their leases start (CachedVerdicts).
+	// same argv when their leases start (CachedVerdicts). Set it before
+	// submitting: a campaign binds to it when submitted.
 	Cache *vcache.Cache
 	// Record, when non-nil, is the record-once launcher: it runs the
 	// campaign's deterministic pre-failure pass (the CLI execs itself with
@@ -247,17 +247,18 @@ func (s *Server) Submit(spec CampaignSpec) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := &campaign{
-		spec:     spec,
-		merger:   ckpt.NewMerger(),
-		state:    campaignRunning,
-		identity: vcache.Identity(spec.Args...),
-		noCache:  specHasFlag(spec.Args, "-no-verdict-cache"),
-		settled:  make(map[uint64]bool),
+		spec:   spec,
+		merger: ckpt.NewMerger(),
+		state:  campaignRunning,
+	}
+	if s.Cache != nil && !specHasFlag(spec.Args, "-no-verdict-cache") {
+		c.verdicts = s.Cache.Bind(vcache.Identity(spec.Args...))
 	}
 	// The campaign takes the first c<N> that does not exist yet. Shard
 	// files are opened for appending, so a directory left by an earlier
 	// daemon over the same workdir would hand a rescheduled shard the old
-	// campaign's lines as its -resume checkpoint.
+	// campaign's lines as its -resume checkpoint. The workdir is fsynced
+	// so the new directory outlives a crash with the shard files in it.
 	for {
 		s.nextC++
 		c.id = fmt.Sprintf("c%d", s.nextC)
@@ -269,6 +270,9 @@ func (s *Server) Submit(spec CampaignSpec) (string, error) {
 		if !errors.Is(err, fs.ErrExist) {
 			return "", fmt.Errorf("creating campaign dir: %v", err)
 		}
+	}
+	if err := ckpt.SyncDir(s.Workdir); err != nil {
+		return "", fmt.Errorf("syncing the workdir: %v", err)
 	}
 	for i := 0; i < spec.Shards; i++ {
 		c.shards = append(c.shards, &shardState{
@@ -454,10 +458,14 @@ func (s *Server) expireLocked() {
 	}
 }
 
-// endLeaseLocked drops a lease from the table.
+// endLeaseLocked drops a lease from the table and closes its shard's
+// checkpoint.
 func (s *Server) endLeaseLocked(l *lease) {
 	delete(s.leases, l.id)
 	l.sh.lease = ""
+	if l.log != nil {
+		l.log.Close()
+	}
 }
 
 // rescheduleLocked returns a shard to the pending queue with -resume, or
@@ -495,14 +503,16 @@ func (s *Server) Heartbeat(id string) error {
 	return err
 }
 
-// AppendLines takes a chunk of checkpoint JSONL from a lease, appends it
-// durably to the shard's daemon-held file, folds each line into the
-// campaign's online merge, and caches the clean classes whose first line
-// it carries (storeLineLocked) — only now, with the representative's
-// reports durable here, may a later campaign reuse them. Lines from an
-// expired lease are rejected — its shard may already
-// be streaming from another worker, and double-counting a summary would
-// corrupt the bucket accounting.
+// AppendLines takes a chunk of checkpoint JSONL from a lease, appends its
+// whole lines durably to the shard's daemon-held file, folds each line
+// into the campaign's online merge, and feeds it to the campaign's verdict
+// cache binding — only now, with the representative's reports durable
+// here, may a later campaign reuse them. A torn final line (the fragment a
+// killed child leaves) is neither written nor merged: the shard's next
+// incarnation reruns that failure point, and its lines must land after
+// whole ones. Lines from an expired lease are rejected — its shard may
+// already be streaming from another worker, and double-counting a summary
+// would corrupt the bucket accounting.
 func (s *Server) AppendLines(id string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -512,31 +522,33 @@ func (s *Server) AppendLines(id string, data []byte) error {
 		return err
 	}
 
-	lines, err := ckpt.Read(strings.NewReader(string(data)), "lease "+id)
+	lines, whole, err := ckpt.Parse(data, "lease "+id)
 	if err != nil {
 		return fmt.Errorf("parsing streamed lines: %v", err)
 	}
-
-	f, err := os.OpenFile(l.sh.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if len(lines) == 0 {
+		return nil
+	}
+	if l.log == nil {
+		if l.log, _, err = ckpt.OpenLog(l.sh.path, false); err != nil {
+			return err
+		}
+	}
+	if err := l.log.Write(data[:whole]); err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	f.Close()
 
 	source := fmt.Sprintf("shard%d", l.sh.index)
 	for _, line := range lines {
 		if err := l.c.merger.Add(source, line); err != nil {
 			return err
 		}
-		s.storeLineLocked(l.c, line)
+		if l.c.verdicts == nil {
+			continue
+		}
+		if err := l.c.verdicts.Add(line); err != nil {
+			s.logf("verdict cache store failed (degrading to misses): %v", err)
+		}
 	}
 	l.sh.lines += len(lines)
 	return nil

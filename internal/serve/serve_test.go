@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/pmemgo/xfdetector/internal/ckpt"
 )
 
 // Scheduler tests drive the Server in-process with an injected clock: the
@@ -324,6 +326,43 @@ func TestAppendLinesDurable(t *testing.T) {
 	}
 	if string(data) != "{\"fp\":0}\n{\"fp\":1}\n" {
 		t.Errorf("daemon-held checkpoint = %q", data)
+	}
+}
+
+// TestAppendLinesDropsTornFragment: a shard child SIGKILLed mid-write
+// leaves a torn final line, which the worker's chunk reader sends
+// newline-terminated. The daemon neither writes nor merges it, so the next
+// chunk — the rescheduled shard rerunning that failure point — lands after
+// whole lines, and the held checkpoint a further reschedule resumes from
+// still loads.
+func TestAppendLinesDropsTornFragment(t *testing.T) {
+	s, _ := testServer(t, time.Minute)
+	id := mustSubmit(t, s, CampaignSpec{Args: []string{"-workload", "btree"}, Shards: 1})
+	grant := mustAcquire(t, s, "w1")
+	if err := s.AppendLines(grant.Lease, []byte("{\"fp\":0}\n{\"fp\":1}\n{\"fp\":2,\"fpr\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finish(grant.Lease, -1, false); err != nil { // the child died
+		t.Fatal(err)
+	}
+	regrant := mustAcquire(t, s, "w2")
+	if err := s.AppendLines(regrant.Lease, []byte("{\"fp\":2}\n{\"fp\":3}\n")); err != nil {
+		t.Fatal(err)
+	}
+	path := s.byID[id].shards[0].path
+	if data, err := os.ReadFile(path); err != nil || string(data) != "{\"fp\":0}\n{\"fp\":1}\n{\"fp\":2}\n{\"fp\":3}\n" {
+		t.Fatalf("daemon-held checkpoint = %q (err %v), want the four whole lines", data, err)
+	}
+	if st, _ := s.CampaignStatus(id); st.Covered != 4 || st.ShardStates[0].Lines != 4 {
+		t.Errorf("merged %d failure point(s) from %d line(s), want 4 and 4", st.Covered, st.ShardStates[0].Lines)
+	}
+	if err := s.Finish(regrant.Lease, -1, false); err != nil {
+		t.Fatal(err)
+	}
+	held := mustAcquire(t, s, "w3")
+	lines, err := ckpt.Read(strings.NewReader(held.Checkpoint), "held")
+	if err != nil || len(lines) != 4 {
+		t.Fatalf("held checkpoint loads %d line(s) (err %v), want 4", len(lines), err)
 	}
 }
 

@@ -18,7 +18,8 @@ var ErrLeaseGone = errors.New("lease expired or unknown")
 
 // Buckets is the merged per-failure-point accounting exposed by /status —
 // the same disjoint buckets core.Result carries, summed from the shard
-// summaries (never fabricated from the covered-point count).
+// summaries (never fabricated from the covered-point count). CrossShard
+// is always zero and only the benchmark module still reads it.
 type Buckets struct {
 	PostRuns   int `json:"post_runs"`
 	Pruned     int `json:"pruned"`
@@ -89,7 +90,6 @@ func (s *Server) statusLocked(c *campaign) CampaignStatus {
 		Buckets: Buckets{
 			PostRuns:   res.PostRuns,
 			Pruned:     res.PrunedFailurePoints,
-			CrossShard: res.CrossShardPrunedFailurePoints,
 			CacheHits:  res.CacheHitFailurePoints,
 			Resumed:    res.ResumedFailurePoints,
 			Skipped:    res.SkippedFailurePoints,

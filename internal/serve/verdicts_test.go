@@ -84,7 +84,7 @@ func TestCacheAcrossCampaigns(t *testing.T) {
 	id2 := mustSubmit(t, s, CampaignSpec{Args: args, Shards: 2})
 	warm := []*LeaseGrant{mustAcquire(t, s, "w1"), mustAcquire(t, s, "w2")}
 	for _, l := range warm {
-		v := FetchLeaseVerdicts(client, l.Lease)
+		v := LeaseVerdicts(fetch(l.Lease))
 		reports, ok := v.Lookup(7)
 		if !ok || len(reports) != 1 || reports[0].DedupKey() != rep.DedupKey() {
 			t.Fatalf("lease %s: class 7 = %v, %v; want the landed report back", l.Lease, reports, ok)
@@ -127,7 +127,7 @@ func TestCacheAcrossCampaigns(t *testing.T) {
 	}
 	cache = s.Cache
 	mustAppend(t, s, l3.Lease, pointLine(t, 1, 13))
-	if n := len(cache.Entries(vcache.Identity("-workload", "hashmap", "-test", "50"))); n != 0 {
+	if n := len(cache.Bind(vcache.Identity("-workload", "hashmap", "-test", "50")).Entries()); n != 0 {
 		t.Errorf("a member line cached its class after the representative's store failed (%d entries)", n)
 	}
 	if err := s.Finish(l3.Lease, 0, false); err != nil {
@@ -151,8 +151,8 @@ func TestCacheAcrossCampaigns(t *testing.T) {
 
 	// A lease the daemon does not know fetches nothing: no hits, never a
 	// wrong verdict.
-	if _, ok := FetchLeaseVerdicts(client, "l999").Lookup(7); ok {
-		t.Error("an unknown lease's fetch answered a hit")
+	if v, err := client.FetchVerdicts("l999"); err == nil || len(v) != 0 {
+		t.Errorf("an unknown lease's fetch answered %v (err %v), want an error and no entries", v, err)
 	}
 }
 

@@ -299,10 +299,11 @@ func (w *Worker) runLease(ctx context.Context, grant *LeaseGrant) error {
 
 // readChunk blocks for one checkpoint line, then takes every further
 // complete line already buffered in r — it never waits for more — up to
-// limit lines (limit <= 0: no cap). Blank lines are skipped and a final
-// unterminated line is newline-terminated. It returns the chunk, its line
-// count, and the read error (io.EOF at the end of the stream), which may
-// come with a final chunk.
+// limit lines (limit <= 0: no cap). Blank lines are skipped; a final
+// unterminated line, the fragment a killed child leaves, is sent as it is
+// and the daemon drops it. It returns the chunk, its line count, and the
+// read error (io.EOF at the end of the stream), which may come with a
+// final chunk.
 func readChunk(r *bufio.Reader, limit int) ([]byte, int, error) {
 	var chunk []byte
 	n := 0
@@ -314,7 +315,7 @@ func readChunk(r *bufio.Reader, limit int) ([]byte, int, error) {
 		}
 		line, err := r.ReadBytes('\n')
 		if len(bytes.TrimSpace(line)) > 0 {
-			chunk = append(append(chunk, bytes.TrimSuffix(line, []byte("\n"))...), '\n')
+			chunk = append(chunk, line...)
 			n++
 		}
 		if err != nil {

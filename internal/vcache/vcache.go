@@ -4,11 +4,17 @@
 // durable: any later campaign of the *identical program* reaching the same
 // fingerprint will observe the same post-failure behaviour, so its post-run
 // can be skipped and the class's reports re-seeded. The cache persists
-// exactly those facts — one JSONL entry per (identity, fingerprint) pair,
-// appended and fsynced as classes resolve, torn-tail tolerant on reload —
-// and nothing else: dirty verdicts are value-bearing (fault messages quote
-// data, abandonments depend on deadlines) and are never cached, so a repeat
-// campaign re-executes them.
+// exactly those facts, as checkpoint lines (internal/ckpt) stamped with
+// their campaign identity, appended and fsynced through a ckpt.Log as
+// classes resolve — and nothing else: dirty verdicts are value-bearing
+// (fault messages quote data, abandonments depend on deadlines) and are
+// never cached, so a repeat campaign re-executes them. Files written
+// before entries were checkpoint lines still load.
+//
+// The cache learns from a campaign's checkpoint lines through one rule,
+// Binding.Add, whichever process sees them: the standalone CLI (its
+// -resume lines first, then every line it completes), the -serve daemon
+// (the lines its shards stream) and the differential fuzzer.
 //
 // Identity is the first key component because fingerprints cover only the
 // pre-failure state: two programs that differ solely in their post-failure
@@ -26,14 +32,11 @@
 package vcache
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"sync"
 
+	"github.com/pmemgo/xfdetector/internal/ckpt"
 	"github.com/pmemgo/xfdetector/internal/core"
 )
 
@@ -46,16 +49,6 @@ func Identity(parts ...string) uint64 {
 		fmt.Fprintf(h, "%d:%s", len(p), p)
 	}
 	return h.Sum64()
-}
-
-// entry is one cached clean verdict: the JSONL line format. Reports may be
-// non-empty — a clean representative can still have observed races or
-// semantic bugs, and a cache hit must re-seed them so the warm campaign's
-// report set matches the cold one's byte for byte.
-type entry struct {
-	ID      uint64        `json:"id"`
-	FPrint  uint64        `json:"fpr"`
-	Reports []core.Report `json:"reports,omitempty"`
 }
 
 type key struct{ id, fpr uint64 }
@@ -77,90 +70,28 @@ func makeKey(id, fpr uint64) key {
 	return key{id: id, fpr: fpr}
 }
 
-// Cache is one open verdict-cache file. Safe for concurrent use; every
-// Store is appended and fsynced before it becomes visible to Lookup, so a
-// crash mid-campaign loses at most the entry being written.
+// Cache is one open verdict-cache file. Safe for concurrent use; an entry
+// is appended and fsynced before it becomes visible to Lookup, so a crash
+// mid-campaign loses at most the entry being written.
 type Cache struct {
 	mu      sync.Mutex
-	f       *os.File
-	path    string
+	log     *ckpt.Log
 	entries map[key][]core.Report
 }
 
-// Open loads path (which need not exist) and opens it for appending.
-// Like the checkpoint reader, a torn trailing line — the crash window of
-// an append — is tolerated and dropped; corruption before the last line is
-// an error, not data to silently skip.
+// Open loads path (which need not exist) and opens it for appending
+// (ckpt.OpenLog: a torn trailing entry is cut, corruption before intact
+// entries is an error).
 func Open(path string) (*Cache, error) {
-	c := &Cache{path: path, entries: make(map[key][]core.Report)}
-	data, err := os.ReadFile(path)
-	fresh := errors.Is(err, os.ErrNotExist)
-	if err != nil && !fresh {
-		return nil, fmt.Errorf("vcache: reading %s: %w", path, err)
-	}
-	if len(data) > 0 {
-		if err := c.load(data); err != nil {
-			return nil, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, lines, err := ckpt.OpenLog(path, false)
 	if err != nil {
-		return nil, fmt.Errorf("vcache: opening %s: %w", path, err)
+		return nil, fmt.Errorf("vcache: %w", err)
 	}
-	if fresh {
-		// A freshly created cache file is only durable once its directory
-		// entry is: fsync the parent directory, or a crash can leave later
-		// fsynced appends pointing into a file that never existed.
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("vcache: syncing parent of %s: %w", path, err)
-		}
+	c := &Cache{log: log, entries: make(map[key][]core.Report, len(lines))}
+	for _, l := range lines {
+		c.entries[makeKey(l.ID, l.FPrint)] = l.Reports
 	}
-	c.f = f
 	return c, nil
-}
-
-// syncDir fsyncs a directory so a just-created entry in it survives a
-// crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// load parses the JSONL image, tolerating only a torn final line.
-func (c *Cache) load(data []byte) error {
-	lines := splitLines(data)
-	for i, raw := range lines {
-		var e entry
-		if err := json.Unmarshal(raw, &e); err != nil {
-			if i == len(lines)-1 {
-				return nil // torn tail: the entry was never durable
-			}
-			return fmt.Errorf("vcache: %s line %d: %w", c.path, i+1, err)
-		}
-		c.entries[makeKey(e.ID, e.FPrint)] = e.Reports
-	}
-	return nil
-}
-
-// splitLines splits on '\n', keeping a non-empty unterminated tail and
-// dropping empty lines.
-func splitLines(data []byte) [][]byte {
-	var out [][]byte
-	start := 0
-	for i := 0; i <= len(data); i++ {
-		if i == len(data) || data[i] == '\n' {
-			if i > start {
-				out = append(out, data[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // Lookup returns the cached clean verdict's reports for (id, fpr), if any.
@@ -174,47 +105,6 @@ func (c *Cache) Lookup(id, fpr uint64) ([]core.Report, bool) {
 	return append([]core.Report(nil), reports...), true
 }
 
-// Store records a clean verdict, appending and fsyncing its entry unless
-// the pair is already cached. Write failures are reported but leave the
-// in-memory view consistent with the file (the entry is not installed), so
-// a full disk degrades to cache misses, never to unreplayable state.
-func (c *Cache) Store(id, fpr uint64, reports []core.Report) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := makeKey(id, fpr)
-	if _, ok := c.entries[k]; ok {
-		return nil
-	}
-	line, err := json.Marshal(entry{ID: id, FPrint: fpr, Reports: reports})
-	if err != nil {
-		return fmt.Errorf("vcache: encoding entry: %w", err)
-	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("vcache: appending to %s: %w", c.path, err)
-	}
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("vcache: syncing %s: %w", c.path, err)
-	}
-	c.entries[k] = append([]core.Report(nil), reports...)
-	return nil
-}
-
-// Entries returns every cached verdict of identity id, keyed by
-// fingerprint: the -serve daemon hands a shard child its campaign's
-// entries once per lease.
-func (c *Cache) Entries(id uint64) map[uint64][]core.Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	want := makeKey(id, 0).id
-	out := make(map[uint64][]core.Report)
-	for k, reports := range c.entries {
-		if k.id == want {
-			out[k.fpr] = append([]core.Report(nil), reports...)
-		}
-	}
-	return out
-}
-
 // Len reports the number of cached verdicts.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -223,26 +113,78 @@ func (c *Cache) Len() int {
 }
 
 // Close closes the backing file; the cache must not be used afterwards.
-func (c *Cache) Close() error { return c.f.Close() }
+func (c *Cache) Close() error { return c.log.Close() }
 
-// Bind adapts the cache to a core.VerdictSource for one campaign identity:
-// lookups answer from the cache, and clean representatives' reports are
-// stored (a store failure is reported and degrades to later misses).
-func (c *Cache) Bind(id uint64) core.VerdictSource {
-	return &boundCache{c: c, id: id}
+// Bind returns the cache's view of one campaign of identity id.
+func (c *Cache) Bind(id uint64) *Binding {
+	return &Binding{c: c, id: id, settled: make(map[uint64]bool)}
 }
 
-type boundCache struct {
-	c  *Cache
-	id uint64
+// Binding is one campaign's view of the cache: a core.VerdictSource for
+// its runs, and the one place a campaign's checkpoint lines become cache
+// entries (Add).
+type Binding struct {
+	c       *Cache
+	id      uint64
+	settled map[uint64]bool // fingerprints whose first line arrived; under c.mu
 }
 
-func (b *boundCache) Lookup(fpr uint64) ([]core.Report, bool) {
+// Lookup answers from the cache under the campaign's identity.
+func (b *Binding) Lookup(fpr uint64) ([]core.Report, bool) {
 	return b.c.Lookup(b.id, fpr)
 }
 
-func (b *boundCache) Store(fpr uint64, reports []core.Report) {
-	if err := b.c.Store(b.id, fpr, reports); err != nil {
-		fmt.Fprintf(os.Stderr, "xfdetector: %v\n", err)
+// Entries returns the campaign's cached verdicts by fingerprint: the
+// -serve daemon hands a shard child its campaign's entries once per lease.
+func (b *Binding) Entries() map[uint64][]core.Report {
+	b.c.mu.Lock()
+	defer b.c.mu.Unlock()
+	want := makeKey(b.id, 0).id
+	out := make(map[uint64][]core.Report)
+	for k, reports := range b.c.entries {
+		if k.id == want {
+			out[k.fpr] = append([]core.Report(nil), reports...)
+		}
 	}
+	return out
+}
+
+// Add admits one checkpoint line of the campaign, in the order the
+// campaign recorded its lines. The first line carrying a fingerprint
+// stores its class — the line and its reports, stamped with the campaign
+// identity — unless the line carries a PostFailureFault: it is the line of
+// the class's representative, which comes before any member's (core puts
+// a faulted post-run's fault on its own line even when already reported,
+// and the members of a dirty class carry no fingerprint). Later lines of
+// the class change nothing: pruned members, cache hits, and a resumed
+// run's second representative, whose reports omit what its checkpoint
+// seeded. So a failed store is not retried with a member's empty report
+// list either. Lines without a fingerprint (summaries, -no-prune runs,
+// members of dirty classes) are skipped. A store failure is returned and
+// degrades to later misses: the entry is not installed.
+func (b *Binding) Add(line ckpt.Line) error {
+	if line.FPrint == 0 {
+		return nil
+	}
+	b.c.mu.Lock()
+	defer b.c.mu.Unlock()
+	if b.settled[line.FPrint] {
+		return nil
+	}
+	b.settled[line.FPrint] = true
+	for _, rep := range line.Reports {
+		if rep.Class == core.PostFailureFault {
+			return nil
+		}
+	}
+	k := makeKey(b.id, line.FPrint)
+	if _, ok := b.c.entries[k]; ok {
+		return nil
+	}
+	line.ID = b.id
+	if err := b.c.log.Append(line); err != nil {
+		return fmt.Errorf("vcache: %w", err)
+	}
+	b.c.entries[k] = append([]core.Report(nil), line.Reports...)
+	return nil
 }
